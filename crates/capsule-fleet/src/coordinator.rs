@@ -1,6 +1,6 @@
-//! The fleet coordinator: a TCP server speaking `capsule-serve/1`
-//! upstream that dispatches jobs across N `capsule-serve` backends
-//! downstream.
+//! The fleet coordinator: a [`Service`] on the `capsule-serve`
+//! connection shell that speaks both wire protocols upstream and
+//! dispatches jobs across N `capsule-serve` backends downstream.
 //!
 //! Dispatch mirrors the paper's conditional-division policy one level
 //! up. A worker in CAPSULE probes the hardware and divides only if a
@@ -27,22 +27,21 @@
 //! `checkpoint-fetch`/`checkpoint-put` ops are forwarded for tooling
 //! that wants to move parked state by hand.
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use capsule_core::output::Json;
 use capsule_core::stats::Histogram;
-use capsule_core::{
-    FlightKind, FlightRecorder, MetricsRegistry, SpanId, TailPolicy, TraceRecorder, TraceStore,
-};
+use capsule_core::{FlightKind, MetricsRegistry, TraceRecorder};
 use capsule_serve::client::{self, ClientError, ConnectionPool, Proto};
-use capsule_serve::frame::{self, FrameFlow, ReplySink};
 use capsule_serve::protocol::{
     cache_key as protocol_cache_key, error_response, fnv1a64, hex_encode, list_response,
     response_head, Request, RunRequest,
+};
+use capsule_serve::shell::{
+    dump_response, echo_trace_id, lock, Handle, Reply, RunTrace, Service, Shell,
 };
 
 use crate::backend::Backend;
@@ -141,9 +140,6 @@ impl FleetOptions {
 ///   `jobs_completed` — migration describes the journey, not the end.
 #[derive(Default)]
 struct Counters {
-    connections: AtomicU64,
-    requests: AtomicU64,
-    bad_requests: AtomicU64,
     /// Runs admitted past the fleet queue check.
     jobs_accepted: AtomicU64,
     /// Runs refused at admission (`queue-full`); never admitted, so
@@ -188,9 +184,8 @@ struct State {
 }
 
 struct Shared {
+    shell: Shell,
     opts: FleetOptions,
-    addr: SocketAddr,
-    running: AtomicBool,
     state: Mutex<State>,
     /// Signalled whenever a slot may have freed (job done, probe news).
     slots: Condvar,
@@ -201,105 +196,16 @@ struct Shared {
     cancel_generation: AtomicU64,
     counters: Counters,
     latencies: Mutex<Latencies>,
-    traces: Mutex<TraceStore>,
-    /// Always-on flight recorder: a bounded ring of job-lifecycle and
-    /// backend-liveness events, serialized by `dump`.
-    flight: FlightRecorder,
-    /// Tail-sampling policy for anonymous traces: every run is traced,
-    /// but only slow/failed/retried/migrated (or explicitly requested)
-    /// trees reach the bounded store.
-    tail: Mutex<TailPolicy>,
     /// Keep-alive `capsule-serve/2` connections toward the backends.
     /// Every dispatch and forwarded op checks a connection out of here,
     /// so the steady-state cost per job is one framed round-trip — not
     /// a TCP connect plus a protocol preamble plus the round-trip.
     pool: ConnectionPool,
-    /// Read handles of open client connections, severed on shutdown so
-    /// keep-alive clients see a closed socket instead of a zombie fleet
-    /// (mirrors the same registry in `capsule_serve::server`).
-    conns: Mutex<std::collections::HashMap<u64, TcpStream>>,
-    next_conn: AtomicU64,
-}
-
-/// Registers a connection for shutdown severing; deregisters on drop.
-struct ConnGuard<'a> {
-    shared: &'a Shared,
-    id: u64,
-}
-
-impl<'a> ConnGuard<'a> {
-    fn register(shared: &'a Shared, stream: &TcpStream) -> Option<ConnGuard<'a>> {
-        let handle = stream.try_clone().ok()?;
-        let id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
-        lock(&shared.conns).insert(id, handle);
-        Some(ConnGuard { shared, id })
-    }
-}
-
-impl Drop for ConnGuard<'_> {
-    fn drop(&mut self) {
-        lock(&self.shared.conns).remove(&self.id);
-    }
-}
-
-/// Per-job trace state at the fleet level: the coordinator's own span
-/// tree plus the list of backends the job was forwarded to, so the
-/// `trace` op can later fetch and graft each backend's tree under the
-/// dispatch span that sent the job there.
-struct FleetTrace {
-    id: String,
-    /// True when the client supplied the trace id. Explicit traces are
-    /// always retained; anonymous ones (filed under the job's cache-key
-    /// hex) only when tail sampling keeps them.
-    explicit: bool,
-    rec: TraceRecorder,
-    root: SpanId,
-    /// `(name, addr, dispatch-span id)` per forwarded attempt.
-    backends: Vec<(String, String, u32)>,
-}
-
-impl FleetTrace {
-    /// Every run is traced: under the client's id when one was sent,
-    /// otherwise anonymously under the cache-key hex (which the `trace`
-    /// op accepts), so a job that turns out slow or troubled is
-    /// reconstructable after the fact.
-    fn start(run: &RunRequest, key: u64) -> FleetTrace {
-        let (id, explicit) = match &run.trace_id {
-            Some(id) => (id.clone(), true),
-            None => (format!("{key:016x}"), false),
-        };
-        let mut rec = TraceRecorder::new(64, 256);
-        let root = rec.span("fleet.run", None);
-        rec.attr(root, "scenario", &run.scenario);
-        rec.attr(root, "scale", run.scale.name());
-        FleetTrace { id, explicit, rec, root, backends: Vec::new() }
-    }
-
-    /// Closes the root span and files the tree (with the backend list
-    /// appended) under the trace id.
-    fn store(mut self, shared: &Shared) {
-        self.rec.end(self.root);
-        let mut v = self.rec.finish().to_json();
-        let mut list = Vec::with_capacity(self.backends.len());
-        for (name, addr, span) in &self.backends {
-            let mut b = Json::object();
-            b.push("name", name.as_str()).push("addr", addr.as_str()).push("span", *span);
-            list.push(b);
-        }
-        v.push("backends", Json::Array(list));
-        lock(&shared.traces).put(&self.id, v);
-    }
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A running fleet coordinator.
 pub struct Fleet {
-    shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
-    probe: Option<JoinHandle<()>>,
+    handle: Handle<Shared>,
 }
 
 impl Fleet {
@@ -317,8 +223,7 @@ impl Fleet {
                 "a fleet needs at least one backend",
             ));
         }
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
+        let (shell, listener) = Shell::bind(addr, opts.flight, opts.traces)?;
         let window = Duration::from_millis(opts.fail_window_ms);
         let backends: Vec<Backend> = backends
             .iter()
@@ -326,57 +231,41 @@ impl Fleet {
             .map(|(i, a)| Backend::new(a.clone(), i, window, opts.fail_threshold))
             .collect();
         let shared = Arc::new(Shared {
+            shell,
             opts,
-            addr: local,
-            running: AtomicBool::new(true),
             state: Mutex::new(State { backends, pending: 0 }),
             slots: Condvar::new(),
             cancel_generation: AtomicU64::new(0),
             counters: Counters::default(),
             latencies: Mutex::new(Latencies::default()),
-            traces: Mutex::new(TraceStore::new(opts.traces)),
-            flight: FlightRecorder::new(opts.flight),
-            tail: Mutex::new(TailPolicy::new()),
             pool: ConnectionPool::new(Proto::V2, Duration::from_millis(opts.connect_timeout_ms)),
-            conns: Mutex::new(std::collections::HashMap::new()),
-            next_conn: AtomicU64::new(0),
         });
-        install_dump_hooks(&shared);
         let probe = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || probe_loop(&shared))
         };
-        let accept = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || accept_loop(&shared, &listener))
-        };
-        Ok(Fleet { shared, accept: Some(accept), probe: Some(probe) })
+        Ok(Fleet { handle: Handle::start(shared, listener, vec![probe]) })
     }
 
     /// The bound address (with the resolved port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.shared.addr
+        self.handle.local_addr()
     }
 
     /// False once shutdown has started.
     pub fn running(&self) -> bool {
-        self.shared.running.load(Ordering::SeqCst)
+        self.handle.running()
     }
 
     /// Starts shutdown exactly as the `shutdown` request does. Backends
     /// are left running — they are managed independently.
     pub fn request_shutdown(&self) {
-        initiate_shutdown(&self.shared);
+        self.handle.request_shutdown();
     }
 
     /// Waits for the accept and probe threads to exit.
-    pub fn join(mut self) {
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.probe.take() {
-            let _ = h.join();
-        }
+    pub fn join(self) {
+        self.handle.join();
     }
 
     /// [`Fleet::request_shutdown`] followed by [`Fleet::join`].
@@ -386,145 +275,117 @@ impl Fleet {
     }
 }
 
-fn initiate_shutdown(shared: &Shared) {
-    if shared.running.swap(false, Ordering::SeqCst) {
-        // Wake slot-waiters so they answer `shutting-down`, and the
-        // accept loop so it observes `running == false`.
-        shared.slots.notify_all();
-        // Sever the read side of open client connections so keep-alive
-        // clients see EOF; pending responses still flush.
-        for conn in lock(&shared.conns).values() {
-            let _ = conn.shutdown(std::net::Shutdown::Read);
-        }
-        let _ = TcpStream::connect(shared.addr);
-    }
-}
+/// Routes one parsed request; the shell funnels both protocol front
+/// ends here.
+impl Service for Shared {
+    const SOURCE: &'static str = "fleet";
+    const DUMP_ON_PANIC: &'static str = "CAPSULE_FLEET_DUMP_ON_PANIC";
 
-fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
-    for stream in listener.incoming() {
-        if !shared.running.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let shared = Arc::clone(shared);
-        std::thread::spawn(move || handle_connection(&shared, stream));
+    fn shell(&self) -> &Shell {
+        &self.shell
     }
-}
 
-fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
-    use std::io::{BufRead, BufReader, Write};
-    shared.counters.connections.fetch_add(1, Ordering::Relaxed);
-    let _guard = ConnGuard::register(shared, &stream);
-    // Same first-byte negotiation as capsule-serve itself: a framed
-    // `capsule-serve/2` preamble starts with `C`, a v1 JSON line with
-    // `{`, so one peek routes the connection without consuming bytes.
-    let mut first = [0u8; 1];
-    match stream.peek(&mut first) {
-        Ok(0) | Err(_) => return,
-        Ok(_) => {}
+    fn answer(shared: &Arc<Shared>, request: Request, reply: Reply) -> Option<String> {
+        let response = match request {
+            // Dispatch blocks on backend slots and round-trips, by
+            // design. On a pipelined connection each run gets its own
+            // dispatcher thread and replies through the connection's
+            // writer when it resolves, so one fleet connection carries
+            // many concurrent jobs, completing out of submission order.
+            Request::Run(run) if matches!(reply, Reply::V2(..)) => {
+                let shared = Arc::clone(shared);
+                std::thread::spawn(move || {
+                    reply.send(handle_run(&shared, &run).to_string_compact());
+                });
+                return None;
+            }
+            Request::Run(run) => handle_run(shared, &run),
+            Request::Cancel => handle_cancel(shared),
+            Request::Stats => stats_response(shared),
+            Request::List => list_response(),
+            Request::Metrics => metrics_response(shared),
+            // Each reachable backend's own tree for the id is grafted
+            // under the dispatch span that forwarded the job there: one
+            // query reconstructs the whole distributed job.
+            Request::Trace { trace_id } => shared.shell.trace_response(&trace_id, |stored| {
+                graft_backend_spans(shared, &trace_id, &stored)
+            }),
+            Request::Preempt { cache_key } => handle_preempt(shared, &cache_key),
+            Request::Health { key } => health_response(shared, key.as_deref()),
+            Request::Dump => dump_response(&**shared),
+            Request::CheckpointFetch { token } => handle_checkpoint_fetch(shared, &token),
+            Request::CheckpointPut { token, canonical, blob } => {
+                handle_checkpoint_put(shared, &token, &canonical, &blob)
+            }
+            Request::Shutdown => response_head("shutdown", true),
+        };
+        Some(response.to_string_compact())
     }
-    if first[0] == frame::MAGIC[0] {
-        let _ = frame::serve_v2(stream, |f, sink| handle_frame(shared, f, sink));
-        return;
-    }
-    let Ok(read_half) = stream.try_clone() else { return };
-    let mut writer = stream;
-    for line in BufReader::new(read_half).lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        shared.counters.requests.fetch_add(1, Ordering::Relaxed);
-        let (response, shutdown) = handle_line(shared, &line);
-        let mut bytes = response.to_string_compact().into_bytes();
-        bytes.push(b'\n');
-        if writer.write_all(&bytes).and_then(|()| writer.flush()).is_err() {
-            break;
-        }
-        if shutdown {
-            initiate_shutdown(shared);
-            break;
-        }
-    }
-}
 
-/// One `capsule-serve/2` frame at the fleet. Control ops answer inline;
-/// a `run` moves to its own dispatcher thread (dispatch blocks on
-/// backend slots and round-trips, by design) replying through the
-/// connection's writer when it resolves — so one fleet connection can
-/// carry many concurrent jobs, completing out of submission order.
-fn handle_frame(shared: &Arc<Shared>, f: frame::Frame, sink: &ReplySink) -> FrameFlow {
-    shared.counters.requests.fetch_add(1, Ordering::Relaxed);
-    let Some(expected_op) = frame::tag_op(f.tag) else {
-        shared.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
-        sink.send_bad_frame(f.id, "unknown frame tag");
-        return FrameFlow::Continue;
-    };
-    let Ok(text) = std::str::from_utf8(&f.payload) else {
-        shared.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
-        sink.send_bad_frame(f.id, "frame payload is not UTF-8");
-        return FrameFlow::Continue;
-    };
-    let request = match Request::parse_line(text) {
-        Ok(r) => r,
-        Err(e) => {
-            shared.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
-            sink.send_json(f.id, f.tag, &error_response("?", "bad-request", Some(&e.message)));
-            return FrameFlow::Continue;
-        }
-    };
-    if request.op() != expected_op {
-        shared.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
-        sink.send_bad_frame(f.id, "frame tag does not match the payload op");
-        return FrameFlow::Continue;
+    fn close(&self) {
+        // Wake slot-waiters so they answer `shutting-down`.
+        self.slots.notify_all();
     }
-    if let Request::Run(run) = request {
-        let shared = Arc::clone(shared);
-        let sink = sink.clone();
-        let id = f.id;
-        std::thread::spawn(move || {
-            let response = handle_run(&shared, &run);
-            let _ = sink.send_str(id, frame::tag::RUN, &response.to_string_compact());
-        });
-        return FrameFlow::Continue;
-    }
-    let (response, shutdown) = answer(shared, request);
-    sink.send_json(f.id, f.tag, &response);
-    if shutdown {
-        initiate_shutdown(shared);
-        return FrameFlow::Close;
-    }
-    FrameFlow::Continue
-}
 
-fn handle_line(shared: &Shared, line: &str) -> (Json, bool) {
-    let request = match Request::parse_line(line) {
-        Ok(r) => r,
-        Err(e) => {
-            shared.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
-            return (error_response("?", "bad-request", Some(&e.message)), false);
+    /// The fleet-level gauges snapshot included in a dump artifact.
+    fn gauges(&self) -> Json {
+        let mut st = lock(&self.state);
+        let now = Instant::now();
+        let mut backends = Vec::with_capacity(st.backends.len());
+        let mut alive = 0usize;
+        let mut in_flight = 0usize;
+        for b in st.backends.iter_mut() {
+            alive += usize::from(b.alive);
+            in_flight += b.in_flight;
+            let mut j = Json::object();
+            j.push("name", b.name.as_str())
+                .push("alive", b.alive)
+                .push("throttled", b.window.throttled(now))
+                .push("workers", b.workers)
+                .push("in_flight", b.in_flight)
+                .push("ewma_job_us", b.ewma_job_us)
+                .push("predicted_wait_us", b.predicted_wait_us());
+            backends.push(j);
         }
-    };
-    answer(shared, request)
-}
+        let pending = st.pending;
+        let total = st.backends.len();
+        drop(st);
+        let mut g = Json::object();
+        g.push("queue_capacity", self.opts.queue)
+            .push("pending", pending)
+            .push("jobs_in_flight", in_flight)
+            .push("backends_total", total)
+            .push("backends_alive", alive)
+            .push("traces_stored", lock(&self.shell.traces).len())
+            .push("backends", Json::Array(backends));
+        g
+    }
 
-/// Routes one parsed request; shared by both protocol front ends.
-fn answer(shared: &Shared, request: Request) -> (Json, bool) {
-    match request {
-        Request::Run(run) => (handle_run(shared, &run), false),
-        Request::Cancel => (handle_cancel(shared), false),
-        Request::Stats => (stats_response(shared), false),
-        Request::List => (list_response(), false),
-        Request::Metrics => (metrics_response(shared), false),
-        Request::Trace { trace_id } => (trace_response(shared, &trace_id), false),
-        Request::Preempt { cache_key } => (handle_preempt(shared, &cache_key), false),
-        Request::Health { key } => (health_response(shared, key.as_deref()), false),
-        Request::Dump => (dump_response(shared), false),
-        Request::CheckpointFetch { token } => (handle_checkpoint_fetch(shared, &token), false),
-        Request::CheckpointPut { token, canonical, blob } => {
-            (handle_checkpoint_put(shared, &token, &canonical, &blob), false)
-        }
-        Request::Shutdown => (response_head("shutdown", true), true),
+    /// The fleet's own counters as one JSON object (shared by `stats` and
+    /// `dump`).
+    fn counters(&self) -> Json {
+        let c = &self.counters;
+        let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let mut counters = Json::object();
+        counters
+            .push("connections", get(&self.shell.connections))
+            .push("requests", get(&self.shell.requests))
+            .push("bad_requests", get(&self.shell.bad_requests))
+            .push("jobs_accepted", get(&c.jobs_accepted))
+            .push("jobs_rejected", get(&c.jobs_rejected))
+            .push("jobs_completed", get(&c.jobs_completed))
+            .push("jobs_failed", get(&c.jobs_failed))
+            .push("jobs_cancelled", get(&c.jobs_cancelled))
+            .push("retries", get(&c.retries))
+            .push("backend_failures", get(&c.backend_failures))
+            .push("cancel_requests", get(&c.cancel_requests))
+            .push("preempt_requests", get(&c.preempt_requests))
+            .push("jobs_migrated", get(&c.jobs_migrated))
+            .push("checkpoint_fetches", get(&c.checkpoint_fetches))
+            .push("checkpoint_puts", get(&c.checkpoint_puts))
+            .push("probes_ok", get(&c.probes_ok))
+            .push("probes_failed", get(&c.probes_failed));
+        counters
     }
 }
 
@@ -552,11 +413,7 @@ fn token_key(token: &str) -> u64 {
 /// that job's run then migrates it (see [`dispatch_with_retries`]).
 fn handle_preempt(shared: &Shared, cache_key: &str) -> Json {
     shared.counters.preempt_requests.fetch_add(1, Ordering::Relaxed);
-    let line = {
-        let mut q = Json::object();
-        q.push("op", "preempt").push("cache_key", cache_key);
-        q.to_string_compact()
-    };
+    let line = op_line("preempt", &[("cache_key", cache_key)]);
     for (name, addr) in alive_in_preference_order(shared, token_key(cache_key)) {
         if let Some(mut json) = forward_op(shared, &addr, &line) {
             json.push("backend", name.as_str());
@@ -576,12 +433,8 @@ fn handle_preempt(shared: &Shared, cache_key: &str) -> Json {
 /// holding the token answers; the response passes through with backend
 /// attribution added.
 fn handle_checkpoint_fetch(shared: &Shared, token: &str) -> Json {
+    let line = op_line("checkpoint-fetch", &[("token", token)]);
     for (name, addr) in alive_in_preference_order(shared, token_key(token)) {
-        let line = {
-            let mut q = Json::object();
-            q.push("op", "checkpoint-fetch").push("token", token);
-            q.to_string_compact()
-        };
         if let Some(mut json) = forward_op(shared, &addr, &line) {
             shared.counters.checkpoint_fetches.fetch_add(1, Ordering::Relaxed);
             json.push("backend", name.as_str());
@@ -609,14 +462,9 @@ fn handle_checkpoint_put(shared: &Shared, token: &str, canonical: &str, blob: &[
             Some("token is not the cache_key of the supplied canonical request"),
         );
     }
-    let line = {
-        let mut q = Json::object();
-        q.push("op", "checkpoint-put")
-            .push("token", token)
-            .push("canonical", canonical)
-            .push("blob", hex_encode(blob).as_str());
-        q.to_string_compact()
-    };
+    let blob = hex_encode(blob);
+    let line =
+        op_line("checkpoint-put", &[("token", token), ("canonical", canonical), ("blob", &blob)]);
     for (name, addr) in alive_in_preference_order(shared, token_key(token)) {
         if let Some(mut json) = forward_op(shared, &addr, &line) {
             shared.counters.checkpoint_puts.fetch_add(1, Ordering::Relaxed);
@@ -660,12 +508,7 @@ fn fetch_checkpoint(shared: &Shared, addr: &str, token: &str) -> Option<Migratio
     if token.is_empty() {
         return None;
     }
-    let line = {
-        let mut q = Json::object();
-        q.push("op", "checkpoint-fetch").push("token", token);
-        q.to_string_compact()
-    };
-    let json = forward_op(shared, addr, &line)?;
+    let json = forward_op(shared, addr, &op_line("checkpoint-fetch", &[("token", token)]))?;
     let migration = Migration {
         token: token.to_string(),
         canonical: json.get("canonical").and_then(Json::as_str)?.to_string(),
@@ -679,14 +522,10 @@ fn fetch_checkpoint(shared: &Shared, addr: &str, token: &str) -> Option<Migratio
 /// resumed run finds its blob locally; on failure the dispatch proceeds
 /// without `resume_from` and restarts from scratch.
 fn push_checkpoint(shared: &Shared, addr: &str, m: &Migration) -> bool {
-    let line = {
-        let mut q = Json::object();
-        q.push("op", "checkpoint-put")
-            .push("token", m.token.as_str())
-            .push("canonical", m.canonical.as_str())
-            .push("blob", m.blob_hex.as_str());
-        q.to_string_compact()
-    };
+    let line = op_line(
+        "checkpoint-put",
+        &[("token", &m.token), ("canonical", &m.canonical), ("blob", &m.blob_hex)],
+    );
     let ok = forward_op(shared, addr, &line).is_some();
     if ok {
         shared.counters.checkpoint_puts.fetch_add(1, Ordering::Relaxed);
@@ -709,26 +548,24 @@ fn handle_run(shared: &Shared, run: &RunRequest) -> Json {
     let canonical = run.canonical();
     let key = fnv1a64(canonical.as_bytes());
     let forward = forward_line(run, &canonical);
-    let mut trace = Some(FleetTrace::start(run, key));
+    // Every run is traced, anonymously under the cache-key hex (which
+    // the `trace` op accepts) unless the client named it, so a job that
+    // turns out slow or troubled is reconstructable after the fact.
+    let mut trace = RunTrace::start(run, key, "fleet.run", TraceRecorder::new(64, 256));
+    let mut backends = Vec::new();
 
     {
         let mut st = lock(&shared.state);
-        if !shared.running.load(Ordering::SeqCst) {
-            shared.flight.record(FlightKind::Deny, Some(key), None, "shutting-down");
+        if !shared.shell.running() {
+            shared.shell.flight.record(FlightKind::Deny, Some(key), None, "shutting-down");
             return error_response("run", "shutting-down", None);
         }
         if st.pending >= shared.opts.queue {
             shared.counters.jobs_rejected.fetch_add(1, Ordering::Relaxed);
             drop(st);
-            shared.flight.record(FlightKind::Deny, Some(key), None, "queue-full");
-            if let Some(mut t) = trace.take() {
-                t.rec.event(t.root, "queue-full", &[]);
-                // A rejected job never ran, so there is no duration for
-                // the tail policy; keep only explicitly requested traces.
-                if t.explicit {
-                    t.store(shared);
-                }
-            }
+            shared.shell.flight.record(FlightKind::Deny, Some(key), None, "queue-full");
+            trace.rec.event(trace.root, "queue-full", &[]);
+            retain_trace(shared, trace, None, &backends);
             let mut r = error_response("run", "queue-full", None);
             r.push("queue_capacity", shared.opts.queue);
             echo_trace_id(&mut r, run);
@@ -737,24 +574,19 @@ fn handle_run(shared: &Shared, run: &RunRequest) -> Json {
         st.pending += 1;
     }
     shared.counters.jobs_accepted.fetch_add(1, Ordering::Relaxed);
-    shared.flight.record(FlightKind::Enqueue, Some(key), None, "");
+    // Causally ordered by construction: this thread records the
+    // enqueue and is the same thread that later dispatches the job and
+    // records its `dispatch` and `complete`.
+    shared.shell.flight.record(FlightKind::Enqueue, Some(key), None, "");
 
     let admitted = Instant::now();
-    let mut response = dispatch_with_retries(shared, &forward, key, &mut trace);
-    if let Some(t) = trace.take() {
-        // Tail retention: keep the tree when the client asked for it,
-        // when the job ended in anything but a clean first-attempt
-        // success (failures, retries, migrations all leave attempts > 1
-        // or ok:false), or when the end-to-end time lands above the
-        // rolling p99 of previously observed jobs.
-        let ok = response.get("ok").and_then(Json::as_bool) == Some(true);
-        let attempts = response.get("attempts").and_then(Json::as_u64).unwrap_or(1);
-        let interesting = t.explicit || !ok || attempts > 1;
-        let total_us = admitted.elapsed().as_micros() as u64;
-        if lock(&shared.tail).observe(total_us, interesting) {
-            t.store(shared);
-        }
-    }
+    let mut response = dispatch_with_retries(shared, &forward, key, &mut trace, &mut backends);
+    // Anything but a clean first-attempt success is worth keeping:
+    // failures, retries and migrations all leave ok:false or attempts > 1.
+    let ok = response.get("ok").and_then(Json::as_bool) == Some(true);
+    let attempts = response.get("attempts").and_then(Json::as_u64).unwrap_or(1);
+    let total_us = admitted.elapsed().as_micros() as u64;
+    retain_trace(shared, trace, Some((total_us, !ok || attempts > 1)), &backends);
     // Successful passthroughs already echo the id (the backend does it);
     // fleet-generated errors must echo it themselves.
     if response.get("trace_id").is_none() {
@@ -763,6 +595,26 @@ fn handle_run(shared: &Shared, run: &RunRequest) -> Json {
 
     lock(&shared.state).pending -= 1;
     response
+}
+
+/// Offers a run's fleet trace for retention with the `(name, addr,
+/// dispatch span)` of every forwarded attempt appended, so the `trace`
+/// op can graft each backend's own tree under its dispatch span.
+fn retain_trace(
+    shared: &Shared,
+    trace: RunTrace,
+    sample: Option<(u64, bool)>,
+    backends: &[(String, String, u32)],
+) {
+    shared.shell.retain(trace, sample, |tree| {
+        let mut list = Vec::with_capacity(backends.len());
+        for (name, addr, span) in backends {
+            let mut b = Json::object();
+            b.push("name", name.as_str()).push("addr", addr.as_str()).push("span", *span);
+            list.push(b);
+        }
+        tree.push("backends", Json::Array(list));
+    });
 }
 
 /// The line actually forwarded to a backend: the canonical form plus the
@@ -782,19 +634,14 @@ fn forward_line(run: &RunRequest, canonical: &str) -> String {
     line.to_string_compact()
 }
 
-/// Echoes the request's trace id (if any) into a response.
-fn echo_trace_id(r: &mut Json, run: &RunRequest) {
-    if let Some(id) = &run.trace_id {
-        r.push("trace_id", id.as_str());
-    }
-}
-
 fn dispatch_with_retries(
     shared: &Shared,
     forward: &str,
     key: u64,
-    trace: &mut Option<FleetTrace>,
+    trace: &mut RunTrace,
+    backends: &mut Vec<(String, String, u32)>,
 ) -> Json {
+    let flight = &shared.shell.flight;
     let generation = shared.cancel_generation.load(Ordering::SeqCst);
     let admitted = Instant::now();
     let deadline = admitted + Duration::from_millis(shared.opts.dispatch_wait_ms);
@@ -807,9 +654,7 @@ fn dispatch_with_retries(
             shared.counters.retries.fetch_add(1, Ordering::Relaxed);
             let shift = (attempt - 1).min(6) as u32;
             let backoff = shared.opts.backoff_ms.saturating_mul(1 << shift).min(2_000);
-            if let Some(t) = trace.as_mut() {
-                t.rec.event(t.root, "backoff", &[("ms", &backoff.to_string())]);
-            }
+            trace.rec.event(trace.root, "backoff", &[("ms", &backoff.to_string())]);
             std::thread::sleep(Duration::from_millis(backoff));
         }
         let idx = match acquire_backend(shared, key, &mut attempted, deadline) {
@@ -820,7 +665,7 @@ fn dispatch_with_retries(
                 // failed + cancelled` when quiescent); a shutdown abort
                 // is a fleet-side failure.
                 shared.counters.jobs_failed.fetch_add(1, Ordering::Relaxed);
-                shared.flight.record(FlightKind::Complete, Some(key), None, "shutting-down");
+                flight.record(FlightKind::Complete, Some(key), None, "shutting-down");
                 return error_response("run", "shutting-down", None);
             }
             Acquire::TimedOut => break,
@@ -831,28 +676,23 @@ fn dispatch_with_retries(
         };
         let waited_us = admitted.elapsed().as_micros() as u64;
         lock(&shared.latencies).dispatch_wait_us.record(waited_us);
-        shared.flight.record(FlightKind::Dispatch, Some(key), Some(idx as u32), "");
+        flight.record(FlightKind::Dispatch, Some(key), Some(idx as u32), "");
 
         // One dispatch span per attempt; the backend's own span tree is
         // grafted under it later by the `trace` op.
-        let dspan = trace.as_mut().map(|t| {
-            let s = t.rec.span("fleet.dispatch", Some(t.root));
-            t.rec.attr(s, "backend", &name);
-            t.rec.attr(s, "addr", &addr);
-            t.rec.attr(s, "attempt", &(attempt + 1).to_string());
-            t.backends.push((name.clone(), addr.clone(), s.index().map_or(0, |i| i as u32)));
-            s
-        });
+        let dspan = trace.rec.span("fleet.dispatch", Some(trace.root));
+        trace.rec.attr(dspan, "backend", &name);
+        trace.rec.attr(dspan, "addr", &addr);
+        trace.rec.attr(dspan, "attempt", &(attempt + 1).to_string());
+        backends.push((name.clone(), addr.clone(), dspan.index().map_or(0, |i| i as u32)));
 
         // A migrated job carries its checkpoint to the new backend and
         // resumes from it; if the blob cannot be re-posted the dispatch
         // falls back to a from-scratch run (same bytes, more cycles).
         let forward_line = match &migration {
             Some(m) if push_checkpoint(shared, &addr, m) => {
-                shared.flight.record(FlightKind::Resume, Some(key), Some(idx as u32), "");
-                if let (Some(t), Some(s)) = (trace.as_mut(), dspan) {
-                    t.rec.attr(s, "resume_from", &m.token);
-                }
+                flight.record(FlightKind::Resume, Some(key), Some(idx as u32), "");
+                trace.rec.attr(dspan, "resume_from", &m.token);
                 let mut line = Json::parse(forward).expect("forward line is valid json");
                 line.push("resume_from", m.token.as_str());
                 line.to_string_compact()
@@ -873,15 +713,13 @@ fn dispatch_with_retries(
                     Some("cancelled") => "cancelled",
                     Some(_) => "failed",
                 };
-                shared.flight.record(FlightKind::Complete, Some(key), Some(idx as u32), final_kind);
-                if let (Some(t), Some(s)) = (trace.as_mut(), dspan) {
-                    let outcome = match json.get("error").and_then(Json::as_str) {
-                        None => "completed",
-                        Some(e) => e,
-                    };
-                    t.rec.attr(s, "outcome", outcome);
-                    t.rec.end(s);
-                }
+                flight.record(FlightKind::Complete, Some(key), Some(idx as u32), final_kind);
+                let outcome = match json.get("error").and_then(Json::as_str) {
+                    None => "completed",
+                    Some(e) => e,
+                };
+                trace.rec.attr(dspan, "outcome", outcome);
+                trace.rec.end(dspan);
                 json.push("backend", name.as_str())
                     .push("backend_addr", addr.as_str())
                     .push("attempts", attempt + 1)
@@ -890,25 +728,13 @@ fn dispatch_with_retries(
             }
             Outcome::Retry { error, mark_dead } => {
                 release(shared, idx, false, mark_dead);
-                shared.flight.record(
-                    FlightKind::Retry,
-                    Some(key),
-                    Some(idx as u32),
-                    "backend-fault",
-                );
+                flight.record(FlightKind::Retry, Some(key), Some(idx as u32), "backend-fault");
                 if mark_dead {
-                    shared.flight.record(
-                        FlightKind::BackendDown,
-                        None,
-                        Some(idx as u32),
-                        "dispatch",
-                    );
+                    flight.record(FlightKind::BackendDown, None, Some(idx as u32), "dispatch");
                 }
-                if let (Some(t), Some(s)) = (trace.as_mut(), dspan) {
-                    t.rec.attr(s, "outcome", "retry");
-                    t.rec.attr(s, "error", &error);
-                    t.rec.end(s);
-                }
+                trace.rec.attr(dspan, "outcome", "retry");
+                trace.rec.attr(dspan, "error", &error);
+                trace.rec.end(dspan);
                 last_error = format!("{name} ({addr}): {error}");
                 attempted.push(idx);
             }
@@ -917,16 +743,9 @@ fn dispatch_with_retries(
                 // the slot as a success so the failure window stays
                 // untouched, drop the bad blob, restart from scratch.
                 release(shared, idx, true, false);
-                shared.flight.record(
-                    FlightKind::Retry,
-                    Some(key),
-                    Some(idx as u32),
-                    "bad-checkpoint",
-                );
-                if let (Some(t), Some(s)) = (trace.as_mut(), dspan) {
-                    t.rec.attr(s, "outcome", "bad-checkpoint");
-                    t.rec.end(s);
-                }
+                flight.record(FlightKind::Retry, Some(key), Some(idx as u32), "bad-checkpoint");
+                trace.rec.attr(dspan, "outcome", "bad-checkpoint");
+                trace.rec.end(dspan);
                 migration = None;
                 last_error =
                     format!("{name} ({addr}): rejected the migrated checkpoint; restarting");
@@ -937,20 +756,16 @@ fn dispatch_with_retries(
                 // backend fault — so the slot releases as a success and
                 // the failure window stays untouched.
                 release(shared, idx, true, false);
-                shared.flight.record(FlightKind::Preempt, Some(key), Some(idx as u32), "migrating");
-                if let (Some(t), Some(s)) = (trace.as_mut(), dspan) {
-                    t.rec.attr(s, "outcome", "preempted");
-                    t.rec.end(s);
-                }
+                flight.record(FlightKind::Preempt, Some(key), Some(idx as u32), "migrating");
+                trace.rec.attr(dspan, "outcome", "preempted");
+                trace.rec.end(dspan);
                 let token =
                     json.get("cache_key").and_then(Json::as_str).unwrap_or_default().to_string();
                 // Pull the checkpoint while the backend is reachable —
                 // it may be killed before the resumed leg dispatches.
                 if let Some(m) = fetch_checkpoint(shared, &addr, &token) {
                     shared.counters.jobs_migrated.fetch_add(1, Ordering::Relaxed);
-                    if let Some(t) = trace.as_mut() {
-                        t.rec.event(t.root, "migrated", &[("token", &m.token)]);
-                    }
+                    trace.rec.event(trace.root, "migrated", &[("token", &m.token)]);
                     migration = Some(m);
                 }
                 last_error = format!("{name} ({addr}): job preempted, migrating");
@@ -960,14 +775,12 @@ fn dispatch_with_retries(
     }
 
     shared.counters.jobs_failed.fetch_add(1, Ordering::Relaxed);
-    shared.flight.record(FlightKind::Complete, Some(key), None, "gave-up");
+    flight.record(FlightKind::Complete, Some(key), None, "gave-up");
     let detail = format!(
         "dispatch gave up after {} attempt(s); last: {last_error}",
         shared.opts.attempts.max(1)
     );
-    if let Some(t) = trace.as_mut() {
-        t.rec.event(t.root, "gave-up", &[("detail", &detail)]);
-    }
+    trace.rec.event(trace.root, "gave-up", &[("detail", &detail)]);
     error_response("run", "backend-unavailable", Some(&detail))
 }
 
@@ -995,7 +808,7 @@ fn acquire_backend(
 ) -> Acquire {
     let mut st = lock(&shared.state);
     loop {
-        if !shared.running.load(Ordering::SeqCst) {
+        if !shared.shell.running() {
             return Acquire::ShuttingDown;
         }
         let now = Instant::now();
@@ -1131,6 +944,16 @@ fn handle_cancel(shared: &Shared) -> Json {
     r
 }
 
+/// A compact request line for an op forwarded to a backend.
+fn op_line(op: &str, fields: &[(&str, &str)]) -> String {
+    let mut q = Json::object();
+    q.push("op", op);
+    for (k, v) in fields {
+        q.push(k, *v);
+    }
+    q.to_string_compact()
+}
+
 /// One short-deadline request to a backend over a pooled keep-alive
 /// connection; `None` on transport fault or an `ok:false` answer.
 fn forward_op(shared: &Shared, addr: &str, line: &str) -> Option<Json> {
@@ -1152,33 +975,6 @@ struct BackendSnap {
     failures: u64,
     ewma_job_us: u64,
     predicted_wait_us: u64,
-}
-
-/// The fleet's own counters as one JSON object (shared by `stats` and
-/// `dump`).
-fn counters_json(shared: &Shared) -> Json {
-    let c = &shared.counters;
-    let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
-    let mut counters = Json::object();
-    counters
-        .push("connections", get(&c.connections))
-        .push("requests", get(&c.requests))
-        .push("bad_requests", get(&c.bad_requests))
-        .push("jobs_accepted", get(&c.jobs_accepted))
-        .push("jobs_rejected", get(&c.jobs_rejected))
-        .push("jobs_completed", get(&c.jobs_completed))
-        .push("jobs_failed", get(&c.jobs_failed))
-        .push("jobs_cancelled", get(&c.jobs_cancelled))
-        .push("retries", get(&c.retries))
-        .push("backend_failures", get(&c.backend_failures))
-        .push("cancel_requests", get(&c.cancel_requests))
-        .push("preempt_requests", get(&c.preempt_requests))
-        .push("jobs_migrated", get(&c.jobs_migrated))
-        .push("checkpoint_fetches", get(&c.checkpoint_fetches))
-        .push("checkpoint_puts", get(&c.checkpoint_puts))
-        .push("probes_ok", get(&c.probes_ok))
-        .push("probes_failed", get(&c.probes_failed));
-    counters
 }
 
 fn stats_response(shared: &Shared) -> Json {
@@ -1249,7 +1045,7 @@ fn stats_response(shared: &Shared) -> Json {
         backends_json.push(b);
     }
 
-    let counters = counters_json(shared);
+    let counters = Service::counters(shared);
     let (dispatch_wait, job) = {
         let lat = lock(&shared.latencies);
         (lat.dispatch_wait_us.to_json(), lat.job_us.to_json())
@@ -1261,9 +1057,9 @@ fn stats_response(shared: &Shared) -> Json {
         .push("queue_capacity", shared.opts.queue)
         .push("pending", pending)
         .push("jobs_in_flight", snaps.iter().map(|s| s.in_flight).sum::<usize>())
-        .push("traces_stored", lock(&shared.traces).len())
-        .push("flight_capacity", shared.flight.capacity())
-        .push("flight_recorded", shared.flight.recorded())
+        .push("traces_stored", lock(&shared.shell.traces).len())
+        .push("flight_capacity", shared.shell.flight.capacity())
+        .push("flight_recorded", shared.shell.flight.recorded())
         .push("counters", counters)
         .push("dispatch_wait_us", dispatch_wait)
         .push("job_us", job);
@@ -1296,7 +1092,7 @@ fn metrics_response(shared: &Shared) -> Json {
     let c = &shared.counters;
     let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
     let mut m = MetricsRegistry::new();
-    m.set("capsule_fleet_bad_requests_total", &[], get(&c.bad_requests));
+    m.set("capsule_fleet_bad_requests_total", &[], get(&shared.shell.bad_requests));
     m.set("capsule_fleet_jobs_accepted_total", &[], get(&c.jobs_accepted));
     m.set("capsule_fleet_jobs_rejected_total", &[], get(&c.jobs_rejected));
     m.set("capsule_fleet_jobs_completed_total", &[], get(&c.jobs_completed));
@@ -1310,9 +1106,9 @@ fn metrics_response(shared: &Shared) -> Json {
     m.set("capsule_fleet_checkpoint_fetches_total", &[], get(&c.checkpoint_fetches));
     m.set("capsule_fleet_checkpoint_puts_total", &[], get(&c.checkpoint_puts));
     m.set("capsule_fleet_queue_capacity", &[], shared.opts.queue as u64);
-    m.set("capsule_fleet_traces_stored", &[], lock(&shared.traces).len() as u64);
-    m.set("capsule_fleet_flight_capacity", &[], shared.flight.capacity() as u64);
-    m.set("capsule_fleet_flight_recorded_total", &[], shared.flight.recorded());
+    m.set("capsule_fleet_traces_stored", &[], lock(&shared.shell.traces).len() as u64);
+    m.set("capsule_fleet_flight_capacity", &[], shared.shell.flight.capacity() as u64);
+    m.set("capsule_fleet_flight_recorded_total", &[], shared.shell.flight.recorded());
     let pool = shared.pool.counters();
     m.set("capsule_fleet_pool_checkouts_total", &[], pool.checkouts);
     m.set("capsule_fleet_pool_dials_total", &[], pool.dials);
@@ -1454,118 +1250,6 @@ fn health_response(shared: &Shared, key: Option<&str>) -> Json {
     resp
 }
 
-/// The fleet-level gauges snapshot included in a dump artifact.
-fn gauges_json(shared: &Shared) -> Json {
-    let mut st = lock(&shared.state);
-    let now = Instant::now();
-    let mut backends = Vec::with_capacity(st.backends.len());
-    let mut alive = 0usize;
-    let mut in_flight = 0usize;
-    for b in st.backends.iter_mut() {
-        alive += usize::from(b.alive);
-        in_flight += b.in_flight;
-        let mut j = Json::object();
-        j.push("name", b.name.as_str())
-            .push("alive", b.alive)
-            .push("throttled", b.window.throttled(now))
-            .push("workers", b.workers)
-            .push("in_flight", b.in_flight)
-            .push("ewma_job_us", b.ewma_job_us)
-            .push("predicted_wait_us", b.predicted_wait_us());
-        backends.push(j);
-    }
-    let pending = st.pending;
-    let total = st.backends.len();
-    drop(st);
-    let mut g = Json::object();
-    g.push("queue_capacity", shared.opts.queue)
-        .push("pending", pending)
-        .push("jobs_in_flight", in_flight)
-        .push("backends_total", total)
-        .push("backends_alive", alive)
-        .push("traces_stored", lock(&shared.traces).len())
-        .push("backends", Json::Array(backends));
-    g
-}
-
-/// The `capsule-dump/1` post-mortem artifact (docs/OBSERVABILITY.md):
-/// the flight ring, every retained trace, the gauges, and the counters
-/// in one versioned JSON object.
-fn dump_json(shared: &Shared) -> Json {
-    let mut d = Json::object();
-    d.push("schema", "capsule-dump/1")
-        .push("source", "fleet")
-        .push("flight", shared.flight.snapshot().to_json());
-    let traces = {
-        let store = lock(&shared.traces);
-        let mut list = Vec::new();
-        for (id, tree) in store.entries() {
-            let mut t = Json::object();
-            t.push("trace_id", id).push("trace", tree.clone());
-            list.push(t);
-        }
-        list
-    };
-    d.push("traces", Json::Array(traces))
-        .push("gauges", gauges_json(shared))
-        .push("counters", counters_json(shared));
-    d
-}
-
-fn dump_response(shared: &Shared) -> Json {
-    let mut r = response_head("dump", true);
-    r.push("dump", dump_json(shared));
-    r
-}
-
-/// Serializes the dump artifact to `path`, best effort: a post-mortem
-/// writer must never bring down the process it is trying to explain.
-fn write_dump_file(shared: &Shared, path: &str, reason: &str) {
-    let mut dump = dump_json(shared);
-    dump.push("reason", reason);
-    let mut bytes = dump.to_string_compact().into_bytes();
-    bytes.push(b'\n');
-    match std::fs::write(path, bytes) {
-        Ok(()) => eprintln!("capsule-fleet: wrote {reason} dump to {path}"),
-        Err(e) => eprintln!("capsule-fleet: failed to write {reason} dump to {path}: {e}"),
-    }
-}
-
-/// `CAPSULE_FLEET_DUMP_ON_PANIC=path`: chain a panic hook that writes
-/// the post-mortem artifact before the default handler runs, so a
-/// crashing coordinator leaves its last moments on disk.
-fn install_dump_hooks(shared: &Arc<Shared>) {
-    if let Ok(path) = std::env::var("CAPSULE_FLEET_DUMP_ON_PANIC") {
-        if !path.is_empty() {
-            let shared = Arc::clone(shared);
-            let previous = std::panic::take_hook();
-            std::panic::set_hook(Box::new(move |info| {
-                write_dump_file(&shared, &path, "panic");
-                previous(info);
-            }));
-        }
-    }
-}
-
-/// The fleet `trace` op: the coordinator's stored span tree for the id,
-/// with each reachable backend's own span tree for the same id grafted
-/// under the dispatch span that forwarded the job there — one query
-/// reconstructs the whole distributed job, retries included.
-fn trace_response(shared: &Shared, trace_id: &str) -> Json {
-    let Some(stored) = lock(&shared.traces).get(trace_id).cloned() else {
-        let mut r = error_response(
-            "trace",
-            "unknown-trace",
-            Some("no stored trace for this id (never submitted, disabled, or evicted)"),
-        );
-        r.push("trace_id", trace_id);
-        return r;
-    };
-    let mut r = response_head("trace", true);
-    r.push("trace_id", trace_id).push("trace", graft_backend_spans(shared, trace_id, &stored));
-    r
-}
-
 /// Rewrites one backend span for grafting: ids shifted by `offset`, the
 /// backend-local root reparented under the fleet dispatch span, and a
 /// `backend` attribute stamped on it.
@@ -1624,11 +1308,7 @@ fn graft_backend_spans(shared: &Shared, trace_id: &str, stored: &Json) -> Json {
         }
     }
 
-    let query = {
-        let mut q = Json::object();
-        q.push("op", "trace").push("trace_id", trace_id);
-        q.to_string_compact()
-    };
+    let query = op_line("trace", &[("trace_id", trace_id)]);
     let mut backends_json = Vec::with_capacity(targets.len());
     for (name, addr, graft_parent) in &targets {
         let remote = forward_op(shared, addr, &query).and_then(|reply| reply.get("trace").cloned());
@@ -1662,7 +1342,8 @@ fn graft_backend_spans(shared: &Shared, trace_id: &str, stored: &Json) -> Json {
 }
 
 fn probe_loop(shared: &Shared) {
-    while shared.running.load(Ordering::SeqCst) {
+    let flight = &shared.shell.flight;
+    while shared.shell.running() {
         let targets: Vec<(usize, String)> = lock(&shared.state)
             .backends
             .iter()
@@ -1670,7 +1351,7 @@ fn probe_loop(shared: &Shared) {
             .map(|(i, b)| (i, b.addr.clone()))
             .collect();
         for (i, addr) in targets {
-            if !shared.running.load(Ordering::SeqCst) {
+            if !shared.shell.running() {
                 return;
             }
             let connect = Duration::from_millis(shared.opts.connect_timeout_ms);
@@ -1679,7 +1360,7 @@ fn probe_loop(shared: &Shared) {
             match result {
                 Ok(p) => {
                     if !st.backends[i].alive {
-                        shared.flight.record(FlightKind::BackendUp, None, Some(i as u32), "probe");
+                        flight.record(FlightKind::BackendUp, None, Some(i as u32), "probe");
                     }
                     st.backends[i].alive = true;
                     st.backends[i].workers = p.workers.max(1);
@@ -1687,12 +1368,7 @@ fn probe_loop(shared: &Shared) {
                 }
                 Err(_) => {
                     if st.backends[i].alive {
-                        shared.flight.record(
-                            FlightKind::BackendDown,
-                            None,
-                            Some(i as u32),
-                            "probe",
-                        );
+                        flight.record(FlightKind::BackendDown, None, Some(i as u32), "probe");
                     }
                     st.backends[i].alive = false;
                     shared.counters.probes_failed.fetch_add(1, Ordering::Relaxed);
@@ -1704,7 +1380,7 @@ fn probe_loop(shared: &Shared) {
         }
         // Sleep in slices so shutdown stays prompt.
         let end = Instant::now() + Duration::from_millis(shared.opts.probe_ms);
-        while shared.running.load(Ordering::SeqCst) && Instant::now() < end {
+        while shared.shell.running() && Instant::now() < end {
             std::thread::sleep(Duration::from_millis(20));
         }
     }

@@ -10,11 +10,14 @@
 //! must stay in flight indefinitely.
 
 use std::collections::BTreeMap;
+use std::io::{Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use capsule_core::output::Json;
 use capsule_fleet::{Fleet, FleetOptions};
 use capsule_serve::client::{request_once, Connection, Proto};
+use capsule_serve::frame::{self, tag};
 use capsule_serve::protocol::{cache_key, Request};
 use capsule_serve::{Server, ServerOptions};
 
@@ -29,6 +32,26 @@ const SLOW_RUN: &str = r#"{"op":"run","scenario":"ablation_policies","scale":"sm
 /// Full-scale fig6 runs for minutes uncancelled: a job that is
 /// guaranteed to still be in flight whenever the test looks.
 const ENDLESS_RUN: &str = r#"{"op":"run","scenario":"fig6_division_tree","scale":"full"}"#;
+
+/// Every job on the flight ring follows causality: for each cache key,
+/// its `enqueue`, then its `start` (`dequeue` on a server, `dispatch` at
+/// a fleet), then its `complete`.
+fn assert_causal(events: &[Json], start: &str) {
+    let mut by_key: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
+    for e in events {
+        if let (Some(key), Some(kind)) =
+            (e.get("cache_key").and_then(Json::as_str), e.get("kind").and_then(Json::as_str))
+        {
+            by_key.entry(key).or_default().push(kind);
+        }
+    }
+    assert!(!by_key.is_empty(), "no job events on the ring");
+    for (key, kinds) in &by_key {
+        let lifecycle: Vec<&str> =
+            kinds.iter().copied().filter(|k| ["enqueue", start, "complete"].contains(k)).collect();
+        assert_eq!(lifecycle, ["enqueue", start, "complete"], "job {key} out of order: {kinds:?}");
+    }
+}
 
 fn run_line(scenario: &str) -> String {
     format!(r#"{{"op":"run","scenario":"{scenario}","scale":"smoke"}}"#)
@@ -897,6 +920,7 @@ fn fleet_tail_retention_and_dump_capture_troubled_jobs() {
     for kind in ["enqueue", "dispatch", "complete"] {
         assert!(kinds.contains(&kind), "missing {kind} in {kinds:?}");
     }
+    assert_causal(events, "dispatch");
     assert!(
         events.iter().any(|e| {
             e.get("cache_key").and_then(Json::as_str) == Some(fail_key.as_str())
@@ -920,6 +944,51 @@ fn fleet_tail_retention_and_dump_capture_troubled_jobs() {
     let counters = d.get("counters").expect("counters");
     assert_eq!(counters.get("jobs_completed").and_then(Json::as_u64), Some(1));
     assert_eq!(counters.get("jobs_failed").and_then(Json::as_u64), Some(1));
+
+    fleet.shutdown();
+    backend.shutdown();
+}
+
+/// Sends `bytes`, half-closes, and returns everything the peer answered
+/// before it closed.
+fn exchange(addr: SocketAddr, bytes: &[u8]) -> Vec<u8> {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(30))).expect("read timeout");
+    stream.write_all(bytes).expect("send");
+    stream.shutdown(Shutdown::Write).expect("half-close");
+    let mut answer = Vec::new();
+    stream.read_to_end(&mut answer).expect("answer");
+    answer
+}
+
+/// One shell answers malformed input for both servers: the same faulty
+/// line or frame gets the same bytes from a single server and from a
+/// fleet in front of it.
+#[test]
+fn serve_and_fleet_answer_malformed_input_byte_identically() {
+    let backend = start_backend();
+    let fleet = start_fleet(&[&backend], fleet_opts());
+    let v2 = |frame: Vec<u8>| [b"CAPS\x02".to_vec(), frame].concat();
+    let faults: [(&str, Vec<u8>); 7] = [
+        ("unknown tag", v2(frame::encode_frame(1, 200, br#"{"op":"stats"}"#))),
+        ("non-UTF-8 payload", v2(frame::encode_frame(2, tag::STATS, b"\xff\xfe"))),
+        ("tag/op mismatch", v2(frame::encode_frame(3, tag::RUN, br#"{"op":"stats"}"#))),
+        ("unparsable payload", v2(frame::encode_frame(4, tag::STATS, br#"{"op":"#))),
+        ("truncated header", v2([4u32.to_le_bytes(), *b"junk"].concat())),
+        ("bad preamble version", b"CAPS\x07".to_vec()),
+        ("malformed v1 line", b"{\"op\":\"frobnicate\"}\n".to_vec()),
+    ];
+    for (what, bytes) in &faults {
+        let direct = exchange(backend.local_addr(), bytes);
+        let fleeted = exchange(fleet.local_addr(), bytes);
+        assert!(!direct.is_empty(), "{what}: no answer");
+        assert_eq!(
+            String::from_utf8_lossy(&direct),
+            String::from_utf8_lossy(&fleeted),
+            "{what}: serve and fleet answers differ"
+        );
+        assert_eq!(direct, fleeted, "{what}");
+    }
 
     fleet.shutdown();
     backend.shutdown();

@@ -119,7 +119,7 @@ impl std::str::FromStr for Proto {
 #[derive(Debug)]
 pub struct Connection {
     proto: Proto,
-    writer: TcpStream,
+    pub(crate) writer: TcpStream,
     reader: BufReader<TcpStream>,
     next_id: u64,
     /// Ids submitted but not yet returned to the caller, oldest first.
@@ -179,6 +179,9 @@ impl Connection {
     }
 
     fn from_stream(stream: TcpStream, proto: Proto) -> Result<Connection, ClientError> {
+        // Requests are small writes the client then waits on: send each
+        // at once instead of holding it for the server's delayed ACK.
+        stream.set_nodelay(true).map_err(ClientError::Connect)?;
         let read_half = stream.try_clone().map_err(ClientError::Connect)?;
         let mut conn = Connection {
             proto,

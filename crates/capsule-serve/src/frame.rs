@@ -6,7 +6,8 @@
 //! dispatch. A connection is negotiated once (five preamble bytes each
 //! way) and then carries many concurrent requests: each frame is tagged
 //! with a client-chosen request id, responses may arrive out of order,
-//! and a per-connection writer serializes completions as workers finish.
+//! and the server's per-connection writer ([`crate::shell`]) serializes
+//! completions as workers finish.
 //!
 //! Wire grammar (all integers little-endian):
 //!
@@ -24,13 +25,8 @@
 //! v1 and v2 responses stay byte-identical.
 
 use std::io::{ErrorKind, Read, Write};
-use std::net::TcpStream;
-use std::sync::mpsc;
 
-use capsule_core::codec::{Reader, Writer};
-use capsule_core::output::Json;
-
-use crate::protocol::error_response;
+use capsule_core::codec::Writer;
 
 /// The four magic bytes opening every v2 connection. The first byte
 /// (`C`) can never open a v1 request line (those start with `{` or
@@ -48,6 +44,10 @@ pub const MAX_FRAME_LEN: u32 = 64 << 20;
 
 /// Bytes of frame header counted inside `len` (id + tag).
 pub const FRAME_HEADER_LEN: usize = 9;
+
+/// Initial body buffer of [`read_frame`]; larger bodies grow it as they
+/// arrive.
+const BODY_CHUNK: usize = 64 << 10;
 
 /// Op tags, one per `capsule-serve/1` op. Tag 0 is reserved for
 /// responses to requests whose frame could not be interpreted.
@@ -251,131 +251,23 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
     if len > MAX_FRAME_LEN {
         return Err(FrameError::Oversized(len));
     }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body).map_err(FrameError::Io)?;
-    if (len as usize) < FRAME_HEADER_LEN {
+    // At most `BODY_CHUNK` is reserved up front; beyond it the buffer
+    // grows only as body bytes arrive, so a prefix that declares a large
+    // frame and then stalls or hangs up costs what was sent, not what
+    // was declared.
+    let mut body = Vec::with_capacity((len as usize).min(BODY_CHUNK));
+    r.by_ref().take(u64::from(len)).read_to_end(&mut body).map_err(FrameError::Io)?;
+    if body.len() < len as usize {
+        return Err(FrameError::Io(ErrorKind::UnexpectedEof.into()));
+    }
+    if body.len() < FRAME_HEADER_LEN {
         // The body (if any) was consumed: the caller may keep reading.
         return Err(FrameError::Truncated(len));
     }
-    let mut rd = Reader::new(&body);
-    let id = rd.u64().map_err(|_| FrameError::Truncated(len))?;
-    let t = rd.u8().map_err(|_| FrameError::Truncated(len))?;
-    Ok(Frame { id, tag: t, payload: body[FRAME_HEADER_LEN..].to_vec() })
-}
-
-/// A clonable handle for queueing response frames onto a connection's
-/// writer thread. Worker threads finish jobs in any order; each send
-/// enqueues one complete frame, and the writer serializes them onto the
-/// socket as they arrive.
-#[derive(Debug, Clone)]
-pub struct ReplySink {
-    tx: mpsc::Sender<Frame>,
-}
-
-impl ReplySink {
-    /// Queues a rendered JSON payload; false when the connection's
-    /// writer is gone (the response is dropped, like a v1 client that
-    /// hung up).
-    pub fn send_str(&self, id: u64, t: u8, payload: &str) -> bool {
-        self.tx.send(Frame { id, tag: t, payload: payload.as_bytes().to_vec() }).is_ok()
-    }
-
-    /// Queues a JSON object as a compact payload.
-    pub fn send_json(&self, id: u64, t: u8, json: &Json) -> bool {
-        self.send_str(id, t, &json.to_string_compact())
-    }
-
-    /// Queues a structured `bad-frame` error answer ([`tag::ERROR`]).
-    pub fn send_bad_frame(&self, id: u64, detail: &str) -> bool {
-        self.send_json(id, tag::ERROR, &error_response("?", "bad-frame", Some(detail)))
-    }
-}
-
-/// What the per-frame handler asks the read loop to do next.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameFlow {
-    /// Keep reading frames.
-    Continue,
-    /// Stop reading; pending responses still drain through the writer.
-    Close,
-}
-
-/// Serves one v2 connection: validates the client preamble, answers
-/// with the server preamble, spawns the per-connection writer thread,
-/// and feeds every well-framed request to `on_frame` together with a
-/// [`ReplySink`] it may answer from any thread.
-///
-/// Frame-level faults are answered inline: an oversized length prefix
-/// gets a `bad-frame` error and closes the connection (the body was
-/// never read, so the stream cannot be resynced); a truncated header
-/// gets a `bad-frame` error and the connection survives. A preamble
-/// mismatch is answered with the server preamble plus a `bad-frame`
-/// error so a confused v2 client sees *why*, then the connection
-/// closes.
-///
-/// # Errors
-///
-/// Propagates socket-clone failures; read-side faults end the loop
-/// without error (mirroring the v1 line loop).
-pub fn serve_v2<F>(stream: TcpStream, mut on_frame: F) -> std::io::Result<()>
-where
-    F: FnMut(Frame, &ReplySink) -> FrameFlow,
-{
-    let mut reader = stream.try_clone()?;
-    let mut writer = stream;
-    let (tx, rx) = mpsc::channel::<Frame>();
-    let sink = ReplySink { tx };
-
-    match read_preamble(&mut reader) {
-        Ok(()) => {}
-        Err(e @ (FrameError::BadMagic(_) | FrameError::BadVersion(_))) => {
-            let _ = write_preamble(&mut writer);
-            let payload = error_response("?", "bad-frame", Some(&e.to_string()));
-            let _ = write_frame(&mut writer, 0, tag::ERROR, payload.to_string_compact().as_bytes());
-            let _ = writer.flush();
-            return Ok(());
-        }
-        Err(_) => return Ok(()),
-    }
-    write_preamble(&mut writer)?;
-    writer.flush()?;
-
-    let writer_thread = std::thread::spawn(move || {
-        while let Ok(frame) = rx.recv() {
-            if write_frame(&mut writer, frame.id, frame.tag, &frame.payload)
-                .and_then(|()| writer.flush())
-                .is_err()
-            {
-                break;
-            }
-        }
-        // Drain (and drop) anything still queued so late senders never
-        // block; the channel is unbounded, so this is belt-and-braces.
-        while rx.try_recv().is_ok() {}
-    });
-
-    loop {
-        match read_frame(&mut reader) {
-            Ok(frame) => {
-                if on_frame(frame, &sink) == FrameFlow::Close {
-                    break;
-                }
-            }
-            Err(e @ FrameError::Oversized(_)) => {
-                sink.send_bad_frame(0, &e.to_string());
-                break;
-            }
-            Err(e @ FrameError::Truncated(_)) => {
-                sink.send_bad_frame(0, &e.to_string());
-            }
-            Err(_) => break,
-        }
-    }
-    // In-flight jobs may still hold sink clones; the writer exits once
-    // the last one resolves. The reader half is done.
-    drop(sink);
-    let _ = writer_thread.join();
-    Ok(())
+    let id = u64::from_le_bytes(body[..8].try_into().expect("8-byte id"));
+    let t = body[8];
+    body.drain(..FRAME_HEADER_LEN);
+    Ok(Frame { id, tag: t, payload: body })
 }
 
 #[cfg(test)]
@@ -451,6 +343,15 @@ mod tests {
         let next = read_frame(&mut cursor).expect("resynced frame");
         assert_eq!(next.id, 3);
         assert_eq!(next.tag, tag::LIST);
+    }
+
+    #[test]
+    fn a_large_prefix_with_a_short_body_is_io_and_consumes_the_body() {
+        let mut bytes = MAX_FRAME_LEN.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[7u8; 10]);
+        let mut cursor = &bytes[..];
+        assert!(matches!(read_frame(&mut cursor), Err(FrameError::Io(_))));
+        assert!(cursor.is_empty(), "the 10 body bytes that arrived were read");
     }
 
     #[test]

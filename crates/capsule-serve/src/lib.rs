@@ -26,6 +26,10 @@
 //! - **Determinism**: reports contain only simulated quantities, so a
 //!   result-cache hit returns the byte-identical report.
 //!
+//! Both this server and `capsule-fleet` run on one connection shell
+//! ([`shell`]): listener, negotiation, request validation, shutdown and
+//! post-mortem dumps live there once.
+//!
 //! See docs/SERVER.md for the wire schema.
 
 #![forbid(unsafe_code)]
@@ -38,6 +42,7 @@ pub mod frame;
 pub mod load;
 pub mod protocol;
 pub mod server;
+pub mod shell;
 
 pub use cache::ResultCache;
 pub use client::{

@@ -1,30 +1,23 @@
-//! The job server: TCP accept loop, bounded job queue, worker pool,
-//! cooperative cancellation and the LRU result cache.
+//! The job server: bounded job queue, worker pool, cooperative
+//! cancellation, checkpoints and the LRU result cache, as a [`Service`]
+//! on the connection shell ([`crate::shell`]).
 //!
-//! Concurrency layout: one cheap thread per connection parses requests
-//! and writes responses; simulation work happens only on the fixed
+//! Concurrency layout: the shell's connection threads parse requests
+//! and write responses; simulation work happens only on the fixed
 //! worker pool, fed through a bounded `sync_channel`. When the queue is
 //! full, `try_send` fails immediately and the client gets a structured
 //! `queue-full` rejection instead of an ever-growing backlog — the
 //! server-level analogue of the paper's death-rate division throttle
-//! (§4.2): admission control by refusal, not by queueing.
-//!
-//! The protocol is negotiated per connection from the first byte on the
-//! wire: `{` (or whitespace) opens a v1 newline-JSON line loop, the
-//! frame magic `C` opens a v2 framed connection ([`crate::frame`]). A
-//! v1 connection serves one request per round-trip, exactly as before;
-//! a v2 connection is pipelined — run jobs are admitted without
-//! blocking the reader, and each worker queues its rendered response
-//! (tagged with the request id) onto the connection's writer thread the
-//! moment it finishes, in whatever order that happens.
+//! (§4.2): admission control by refusal, not by queueing. A v2 run is
+//! admitted without blocking its connection's reader, and the worker
+//! routes the rendered response through the job's [`Reply`] the moment
+//! it finishes, in whatever order that happens.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use capsule_bench::catalog;
@@ -32,18 +25,17 @@ use capsule_bench::checkpoint::{run_checkpointed, CheckpointFailure, CheckpointO
 use capsule_bench::{BatchRunner, RunOptions};
 use capsule_core::output::Json;
 use capsule_core::stats::Histogram;
-use capsule_core::{
-    Ewma, FlightKind, FlightRecorder, MetricsRegistry, SpanId, TailPolicy, TraceRecorder,
-    TraceStore,
-};
+use capsule_core::{Ewma, FlightKind, MetricsRegistry, SpanId, TraceRecorder};
 use capsule_sim::machine::WarmMachine;
 use capsule_sim::CancelToken;
 
 use crate::cache::{Checkpoint, CheckpointStore, ResultCache};
-use crate::frame::{self, FrameFlow, ReplySink};
 use crate::protocol::{
     cache_key, error_response, fnv1a64, hex_encode, list_response, response_head, Request,
     RunRequest,
+};
+use crate::shell::{
+    dump_response, echo_trace_id, lock, write_dump_file, Handle, Reply, RunTrace, Service, Shell,
 };
 
 /// Server sizing knobs.
@@ -107,77 +99,16 @@ impl ServerOptions {
     }
 }
 
-/// Per-job trace state: the recorder travels with the job from admission
-/// through the queue to the worker. Every run is traced; whether the
-/// finished tree is *retained* in the server's [`TraceStore`] is decided
-/// at completion by the tail-sampling policy — explicitly requested
-/// traces (a client `trace_id`) always land, anonymous ones (filed under
-/// the job's cache key) only when the job finished interestingly: above
-/// the rolling p99, or with a non-`completed` outcome.
-struct JobTrace {
-    id: String,
-    /// True when the client chose the id via `trace_id` — such traces
-    /// bypass tail sampling and are always retained.
-    explicit: bool,
-    rec: TraceRecorder,
-    root: SpanId,
-}
-
-impl JobTrace {
-    fn start(run: &RunRequest, canonical: &str) -> JobTrace {
-        let (id, explicit) = match &run.trace_id {
-            Some(id) => (id.clone(), true),
-            None => (cache_key(canonical), false),
-        };
-        let mut rec = TraceRecorder::new(16, 64);
-        let root = rec.span("serve.run", None);
-        rec.attr(root, "scenario", &run.scenario);
-        rec.attr(root, "scale", run.scale.name());
-        JobTrace { id, explicit, rec, root }
-    }
-
-    /// Closes the root span and files the tree under the trace id.
-    fn store(mut self, shared: &Shared) {
-        self.rec.end(self.root);
-        let tree = self.rec.finish();
-        lock(&shared.traces).put(&self.id, tree.to_json());
-    }
-}
-
-/// Where a finished job's rendered response goes: back to the blocking
-/// v1 connection thread, or onto a v2 connection's writer queue, tagged
-/// with the request id so completions may land out of submission order.
-enum JobReply {
-    /// v1: the connection thread blocks on the paired receiver.
-    V1(mpsc::Sender<String>),
-    /// v2: queue onto the connection's writer with the request id.
-    V2 { sink: ReplySink, id: u64 },
-}
-
-impl JobReply {
-    /// Routes the rendered response; the connection may already be gone
-    /// (a v1 client that hung up, a v2 writer that exited), which is
-    /// fine — the result is cached regardless.
-    fn send(&self, rendered: String) {
-        match self {
-            JobReply::V1(tx) => {
-                let _ = tx.send(rendered);
-            }
-            JobReply::V2 { sink, id } => {
-                let _ = sink.send_str(*id, frame::tag::RUN, &rendered);
-            }
-        }
-    }
-}
-
 /// One queued run job: the validated request plus the reply route of
 /// the connection waiting for it.
 struct Job {
     run: RunRequest,
     canonical: String,
     enqueued: Instant,
-    reply: JobReply,
-    trace: Option<JobTrace>,
+    reply: Reply,
+    /// The run's trace, travelling with the job from admission through
+    /// the queue to the worker.
+    trace: Option<RunTrace>,
     /// Checkpoint blob to resume from, pre-validated at admission.
     resume: Option<Vec<u8>>,
     /// The job's preempt flag, registered in [`Shared::preempts`] under
@@ -188,9 +119,6 @@ struct Job {
 
 #[derive(Default)]
 struct Counters {
-    connections: AtomicU64,
-    requests: AtomicU64,
-    bad_requests: AtomicU64,
     jobs_accepted: AtomicU64,
     jobs_rejected: AtomicU64,
     jobs_completed: AtomicU64,
@@ -216,9 +144,8 @@ struct Latencies {
 }
 
 struct Shared {
+    shell: Shell,
     opts: ServerOptions,
-    addr: SocketAddr,
-    running: AtomicBool,
     /// `None` once shutdown started: no further jobs are accepted.
     jobs: Mutex<Option<SyncSender<Job>>>,
     /// Current cancellation generation; `cancel` trips it and installs a
@@ -227,12 +154,6 @@ struct Shared {
     cache: Mutex<ResultCache>,
     counters: Counters,
     latencies: Mutex<Latencies>,
-    traces: Mutex<TraceStore>,
-    /// Always-on flight recorder: a bounded ring of job-lifecycle events
-    /// (enqueue/dequeue/complete/deny/preempt/…) for post-mortems.
-    flight: FlightRecorder,
-    /// Tail-sampling policy deciding which anonymous traces to retain.
-    tail: Mutex<TailPolicy>,
     /// Smoothed queue-wait gauge feeding `predicted_wait_us`.
     ewma_queue_wait: Ewma,
     /// Smoothed run-time gauge feeding `predicted_wait_us`.
@@ -244,47 +165,11 @@ struct Shared {
     /// `preempt` op then reaches the newest job, which is the one still
     /// making progress.
     preempts: Mutex<HashMap<String, Arc<AtomicBool>>>,
-    /// Read handles of every open connection, so shutdown can sever
-    /// them. Keep-alive clients (the fleet's connection pool) otherwise
-    /// keep a "stopped" server reachable indefinitely: connection
-    /// threads block in `read` and would happily serve control ops
-    /// forever. Severing only the *read* side lets queued responses —
-    /// including the `shutdown` acknowledgement itself — still flush.
-    conns: Mutex<HashMap<u64, TcpStream>>,
-    next_conn: AtomicU64,
-}
-
-/// Registers a connection for shutdown severing; deregisters on drop so
-/// the registry tracks only live connections.
-struct ConnGuard<'a> {
-    shared: &'a Shared,
-    id: u64,
-}
-
-impl<'a> ConnGuard<'a> {
-    fn register(shared: &'a Shared, stream: &TcpStream) -> Option<ConnGuard<'a>> {
-        let handle = stream.try_clone().ok()?;
-        let id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
-        lock(&shared.conns).insert(id, handle);
-        Some(ConnGuard { shared, id })
-    }
-}
-
-impl Drop for ConnGuard<'_> {
-    fn drop(&mut self) {
-        lock(&self.shared.conns).remove(&self.id);
-    }
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A running `capsule-serve` instance.
 pub struct Server {
-    shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    handle: Handle<Shared>,
 }
 
 impl Server {
@@ -295,72 +180,55 @@ impl Server {
     ///
     /// Propagates socket errors from binding.
     pub fn start(addr: &str, opts: ServerOptions) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
+        let (shell, listener) = Shell::bind(addr, opts.flight, opts.traces)?;
         let (tx, rx) = mpsc::sync_channel::<Job>(opts.queue);
         let rx = Arc::new(Mutex::new(rx));
         let shared = Arc::new(Shared {
+            shell,
             opts,
-            addr: local,
-            running: AtomicBool::new(true),
             jobs: Mutex::new(Some(tx)),
             cancel: Mutex::new(CancelToken::new()),
             cache: Mutex::new(ResultCache::new(opts.cache)),
             counters: Counters::default(),
             latencies: Mutex::new(Latencies::default()),
-            traces: Mutex::new(TraceStore::new(opts.traces)),
-            flight: FlightRecorder::new(opts.flight),
-            tail: Mutex::new(TailPolicy::new()),
             ewma_queue_wait: Ewma::new(),
             ewma_run: Ewma::new(),
             checkpoints: Mutex::new(CheckpointStore::new(opts.checkpoints)),
             preempts: Mutex::new(HashMap::new()),
-            conns: Mutex::new(HashMap::new()),
-            next_conn: AtomicU64::new(0),
         });
 
-        install_dump_hooks(&shared);
+        start_watchdog(&shared);
 
-        let mut workers = Vec::with_capacity(opts.workers);
-        for _ in 0..opts.workers {
-            let shared = Arc::clone(&shared);
-            let rx = Arc::clone(&rx);
-            workers.push(std::thread::spawn(move || worker_loop(&shared, &rx)));
-        }
-
-        let accept = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || accept_loop(&shared, &listener))
-        };
-
-        Ok(Server { shared, accept: Some(accept), workers })
+        let workers = (0..opts.workers)
+            .map(|_| {
+                let shared = Arc::clone(&shared);
+                let rx = Arc::clone(&rx);
+                std::thread::spawn(move || worker_loop(&shared, &rx))
+            })
+            .collect();
+        Ok(Server { handle: Handle::start(shared, listener, workers) })
     }
 
     /// The bound address (with the resolved port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.shared.addr
+        self.handle.local_addr()
     }
 
     /// False once shutdown has started.
     pub fn running(&self) -> bool {
-        self.shared.running.load(Ordering::SeqCst)
+        self.handle.running()
     }
 
     /// Starts shutdown exactly as the `shutdown` request does: stop
     /// accepting connections and jobs, and cancel in-flight runs.
     pub fn request_shutdown(&self) {
-        initiate_shutdown(&self.shared);
+        self.handle.request_shutdown();
     }
 
     /// Waits until the server has shut down (via the `shutdown` request
     /// or [`Server::request_shutdown`]) and all threads have exited.
-    pub fn join(mut self) {
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
+    pub fn join(self) {
+        self.handle.join();
     }
 
     /// [`Server::request_shutdown`] followed by [`Server::join`].
@@ -370,194 +238,90 @@ impl Server {
     }
 }
 
-fn initiate_shutdown(shared: &Shared) {
-    if shared.running.swap(false, Ordering::SeqCst) {
+/// Protocol-independent request dispatch: the shell funnels both the v1
+/// line loop and the v2 frame handler here, so every op behaves
+/// identically — and renders identically — over both wire formats.
+impl Service for Shared {
+    const SOURCE: &'static str = "serve";
+    const DUMP_ON_PANIC: &'static str = "CAPSULE_SERVE_DUMP_ON_PANIC";
+
+    fn shell(&self) -> &Shell {
+        &self.shell
+    }
+
+    fn answer(shared: &Arc<Shared>, request: Request, reply: Reply) -> Option<String> {
+        let response = match request {
+            Request::Run(run) => return submit_run(shared, run, reply),
+            Request::Cancel => {
+                shared.counters.cancel_requests.fetch_add(1, Ordering::Relaxed);
+                let mut guard = lock(&shared.cancel);
+                guard.cancel();
+                *guard = CancelToken::new();
+                response_head("cancel", true)
+            }
+            Request::Stats => stats_response(shared),
+            Request::List => list_response(),
+            Request::Metrics => metrics_response(shared),
+            Request::Health { key } => health_response(shared, key.as_deref()),
+            Request::Dump => dump_response(&**shared),
+            Request::Trace { trace_id } => shared.shell.trace_response(&trace_id, |tree| tree),
+            Request::Preempt { cache_key } => preempt_response(shared, &cache_key),
+            Request::CheckpointFetch { token } => checkpoint_fetch_response(shared, &token),
+            Request::CheckpointPut { token, canonical, blob } => {
+                checkpoint_put_response(shared, token, canonical, blob)
+            }
+            Request::Shutdown => response_head("shutdown", true),
+        };
+        Some(response.to_string_compact())
+    }
+
+    fn close(&self) {
         // Stop admitting jobs; once the queue drains, the workers see a
         // disconnected channel and exit.
-        *lock(&shared.jobs) = None;
+        *lock(&self.jobs) = None;
         // Stop in-flight runs promptly.
-        lock(&shared.cancel).cancel();
-        // Sever the read side of every open connection: blocked reads
-        // see EOF, connection threads drain their pending responses and
-        // exit, and keep-alive peers observe a closed socket instead of
-        // a zombie endpoint.
-        for conn in lock(&shared.conns).values() {
-            let _ = conn.shutdown(std::net::Shutdown::Read);
-        }
-        // Unblock the accept loop so it observes `running == false`.
-        let _ = TcpStream::connect(shared.addr);
+        lock(&self.cancel).cancel();
     }
-}
 
-fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
-    for stream in listener.incoming() {
-        if !shared.running.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let shared = Arc::clone(shared);
-        std::thread::spawn(move || handle_connection(&shared, stream));
+    /// The load gauges as embedded in the `capsule-dump/1` artifact.
+    fn gauges(&self) -> Json {
+        let mut g = Json::object();
+        g.push("workers", self.opts.workers)
+            .push("queue_capacity", self.opts.queue)
+            .push("jobs_in_flight", self.counters.jobs_in_flight.load(Ordering::SeqCst))
+            .push("ewma_queue_wait_us", self.ewma_queue_wait.get())
+            .push("ewma_run_us", self.ewma_run.get())
+            .push("predicted_wait_us", predicted_wait_us(self))
+            .push("cache_entries", lock(&self.cache).len())
+            .push("checkpoint_entries", lock(&self.checkpoints).len())
+            .push("traces_stored", lock(&self.shell.traces).len());
+        g
     }
-}
 
-fn handle_connection(shared: &Shared, stream: TcpStream) {
-    shared.counters.connections.fetch_add(1, Ordering::Relaxed);
-    let _guard = ConnGuard::register(shared, &stream);
-    // Protocol negotiation happens on the first byte without consuming
-    // it: v1 request lines open with `{` (or whitespace), v2
-    // connections open with the frame magic `C`.
-    let mut first = [0u8; 1];
-    match stream.peek(&mut first) {
-        Ok(0) | Err(_) => return,
-        Ok(_) => {}
-    }
-    if first[0] == frame::MAGIC[0] {
-        let _ = frame::serve_v2(stream, |f, sink| handle_frame(shared, f, sink));
-        return;
-    }
-    let Ok(read_half) = stream.try_clone() else { return };
-    let mut writer = stream;
-    for line in BufReader::new(read_half).lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        shared.counters.requests.fetch_add(1, Ordering::Relaxed);
-        let (response, shutdown) = handle_line(shared, &line);
-        let mut bytes = response.into_bytes();
-        bytes.push(b'\n');
-        if writer.write_all(&bytes).and_then(|()| writer.flush()).is_err() {
-            break;
-        }
-        if shutdown {
-            initiate_shutdown(shared);
-            break;
-        }
-    }
-}
-
-/// Handles one v2 request frame. Runs are admitted without blocking the
-/// reader — the worker queues the rendered response by request id when
-/// the job finishes — so one v2 connection can keep many jobs in
-/// flight and collect completions out of order.
-fn handle_frame(shared: &Shared, f: frame::Frame, sink: &ReplySink) -> FrameFlow {
-    shared.counters.requests.fetch_add(1, Ordering::Relaxed);
-    let Some(op) = frame::tag_op(f.tag) else {
-        shared.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
-        sink.send_bad_frame(f.id, &format!("unknown op tag {}", f.tag));
-        return FrameFlow::Continue;
-    };
-    let Ok(line) = std::str::from_utf8(&f.payload) else {
-        shared.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
-        sink.send_bad_frame(f.id, "payload is not UTF-8");
-        return FrameFlow::Continue;
-    };
-    let request = match Request::parse_line(line) {
-        Ok(r) => r,
-        Err(e) => {
-            shared.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
-            sink.send_json(f.id, f.tag, &error_response("?", "bad-request", Some(&e.message)));
-            return FrameFlow::Continue;
-        }
-    };
-    if request.op() != op {
-        shared.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
-        sink.send_bad_frame(
-            f.id,
-            &format!("frame tag {op:?} does not match payload op {:?}", request.op()),
-        );
-        return FrameFlow::Continue;
-    }
-    match dispatch(shared, request, JobReply::V2 { sink: sink.clone(), id: f.id }) {
-        Dispatched::Done(rendered) => {
-            sink.send_str(f.id, f.tag, &rendered);
-            FrameFlow::Continue
-        }
-        Dispatched::Shutdown(rendered) => {
-            sink.send_str(f.id, f.tag, &rendered);
-            initiate_shutdown(shared);
-            FrameFlow::Close
-        }
-        Dispatched::Queued => FrameFlow::Continue,
-    }
-}
-
-/// Handles one v1 request line; the bool asks the connection loop to
-/// start server shutdown after the response is written. v1 keeps its
-/// one-request-per-round-trip shape by blocking on the reply channel of
-/// a queued run.
-fn handle_line(shared: &Shared, line: &str) -> (String, bool) {
-    let request = match Request::parse_line(line) {
-        Ok(r) => r,
-        Err(e) => {
-            shared.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
-            return (
-                error_response("?", "bad-request", Some(&e.message)).to_string_compact(),
-                false,
-            );
-        }
-    };
-    let (reply_tx, reply_rx) = mpsc::channel();
-    match dispatch(shared, request, JobReply::V1(reply_tx)) {
-        Dispatched::Done(rendered) => (rendered, false),
-        Dispatched::Shutdown(rendered) => (rendered, true),
-        Dispatched::Queued => {
-            let rendered = reply_rx.recv().unwrap_or_else(|_| {
-                error_response("run", "internal-error", Some("worker dropped the job"))
-                    .to_string_compact()
-            });
-            (rendered, false)
-        }
-    }
-}
-
-/// How a request resolved at dispatch: a rendered response (possibly
-/// one that asks the connection to start shutdown), or a queued run
-/// that replies later through its [`JobReply`].
-enum Dispatched {
-    Done(String),
-    Shutdown(String),
-    Queued,
-}
-
-/// Protocol-independent request dispatch: both the v1 line loop and the
-/// v2 frame handler funnel here, so every op behaves identically — and
-/// renders identically — over both wire formats.
-fn dispatch(shared: &Shared, request: Request, reply: JobReply) -> Dispatched {
-    match request {
-        Request::Run(run) => match submit_run(shared, run, reply) {
-            Some(rendered) => Dispatched::Done(rendered),
-            None => Dispatched::Queued,
-        },
-        Request::Cancel => {
-            shared.counters.cancel_requests.fetch_add(1, Ordering::Relaxed);
-            let mut guard = lock(&shared.cancel);
-            guard.cancel();
-            *guard = CancelToken::new();
-            Dispatched::Done(response_head("cancel", true).to_string_compact())
-        }
-        Request::Stats => Dispatched::Done(stats_response(shared).to_string_compact()),
-        Request::List => Dispatched::Done(list_response().to_string_compact()),
-        Request::Metrics => Dispatched::Done(metrics_response(shared).to_string_compact()),
-        Request::Health { key } => {
-            Dispatched::Done(health_response(shared, key.as_deref()).to_string_compact())
-        }
-        Request::Dump => Dispatched::Done(dump_response(shared).to_string_compact()),
-        Request::Trace { trace_id } => {
-            Dispatched::Done(trace_response(shared, &trace_id).to_string_compact())
-        }
-        Request::Preempt { cache_key } => {
-            Dispatched::Done(preempt_response(shared, &cache_key).to_string_compact())
-        }
-        Request::CheckpointFetch { token } => {
-            Dispatched::Done(checkpoint_fetch_response(shared, &token).to_string_compact())
-        }
-        Request::CheckpointPut { token, canonical, blob } => Dispatched::Done(
-            checkpoint_put_response(shared, token, canonical, blob).to_string_compact(),
-        ),
-        Request::Shutdown => {
-            Dispatched::Shutdown(response_head("shutdown", true).to_string_compact())
-        }
+    fn counters(&self) -> Json {
+        let c = &self.counters;
+        let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let mut counters = Json::object();
+        counters
+            .push("connections", get(&self.shell.connections))
+            .push("requests", get(&self.shell.requests))
+            .push("bad_requests", get(&self.shell.bad_requests))
+            .push("jobs_accepted", get(&c.jobs_accepted))
+            .push("jobs_rejected", get(&c.jobs_rejected))
+            .push("jobs_completed", get(&c.jobs_completed))
+            .push("jobs_failed", get(&c.jobs_failed))
+            .push("jobs_cancelled", get(&c.jobs_cancelled))
+            .push("cache_hits", get(&c.cache_hits))
+            .push("cache_misses", get(&c.cache_misses))
+            .push("cancel_requests", get(&c.cancel_requests))
+            .push("preempt_requests", get(&c.preempt_requests))
+            .push("jobs_preempted", get(&c.jobs_preempted))
+            .push("jobs_resumed", get(&c.jobs_resumed))
+            .push("checkpoints_stored", get(&c.checkpoints_stored))
+            .push("checkpoint_fetches", get(&c.checkpoint_fetches))
+            .push("checkpoint_puts", get(&c.checkpoint_puts))
+            .push("snapshot_bytes", get(&c.snapshot_bytes));
+        counters
     }
 }
 
@@ -643,25 +407,21 @@ fn checkpoint_put_response(
 /// is queued (`None`) and the worker routes the rendered response
 /// through `reply` when it finishes — out of submission order on a
 /// pipelined v2 connection.
-fn submit_run(shared: &Shared, run: RunRequest, reply: JobReply) -> Option<String> {
+fn submit_run(shared: &Shared, run: RunRequest, reply: Reply) -> Option<String> {
     let canonical = run.canonical();
     let keyn = fnv1a64(canonical.as_bytes());
-    let mut trace = Some(JobTrace::start(&run, &canonical));
+    let mut trace = Some(RunTrace::start(&run, keyn, "serve.run", TraceRecorder::new(16, 64)));
     // A profiled request bypasses the cache lookup — the per-stage
     // profile has to come from a real run — but still stores its report,
     // so it neither perturbs the hit/miss counters nor goes uncached.
     if !run.profile {
         if let Some(report) = lock(&shared.cache).get(&canonical) {
             shared.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-            shared.flight.record(FlightKind::CacheHit, Some(keyn), None, "");
+            shared.shell.flight.record(FlightKind::CacheHit, Some(keyn), None, "");
             if let Some(mut t) = trace.take() {
                 t.rec.event(t.root, "cache-hit", &[]);
-                // A hit is answered from memory — nothing ran, so the
-                // tail policy has no sample; keep the tree only when the
-                // client asked for it by id.
-                if t.explicit {
-                    t.store(shared);
-                }
+                // A hit is answered from memory: nothing ran.
+                shared.shell.retain(t, None, |_| ());
             }
             return Some(render_run_ok(
                 &canonical,
@@ -742,7 +502,7 @@ fn submit_run(shared: &Shared, run: RunRequest, reply: JobReply) -> Option<Strin
     // Clone the sender out so the jobs lock is not held while waiting.
     let Some(tx) = lock(&shared.jobs).clone() else {
         unregister(shared);
-        shared.flight.record(FlightKind::Deny, Some(keyn), None, "shutting-down");
+        shared.shell.flight.record(FlightKind::Deny, Some(keyn), None, "shutting-down");
         return Some(error_response("run", "shutting-down", None).to_string_compact());
     };
     let job = Job {
@@ -754,23 +514,23 @@ fn submit_run(shared: &Shared, run: RunRequest, reply: JobReply) -> Option<Strin
         resume,
         preempt: preempt.clone(),
     };
+    // Admission is recorded before the hand-off: once the job is on the
+    // queue a worker may dequeue it at once, and the ring must never show
+    // a job leaving the queue before it entered. A failed send follows
+    // up with a `deny`.
+    shared.shell.flight.record(FlightKind::Enqueue, Some(keyn), None, "");
     match tx.try_send(job) {
         Ok(()) => {
             shared.counters.jobs_accepted.fetch_add(1, Ordering::Relaxed);
-            shared.flight.record(FlightKind::Enqueue, Some(keyn), None, "");
             None
         }
         Err(TrySendError::Full(job)) => {
             unregister(shared);
             shared.counters.jobs_rejected.fetch_add(1, Ordering::Relaxed);
-            shared.flight.record(FlightKind::Deny, Some(keyn), None, "queue-full");
+            shared.shell.flight.record(FlightKind::Deny, Some(keyn), None, "queue-full");
             if let Some(mut t) = job.trace {
                 t.rec.event(t.root, "queue-full", &[]);
-                // A rejected job never ran, so there is no tail sample;
-                // retain the tree only on explicit request.
-                if t.explicit {
-                    t.store(shared);
-                }
+                shared.shell.retain(t, None, |_| ());
             }
             let mut r = error_response("run", "queue-full", None);
             r.push("queue_capacity", shared.opts.queue);
@@ -778,17 +538,9 @@ fn submit_run(shared: &Shared, run: RunRequest, reply: JobReply) -> Option<Strin
         }
         Err(TrySendError::Disconnected(_)) => {
             unregister(shared);
-            shared.flight.record(FlightKind::Deny, Some(keyn), None, "shutting-down");
+            shared.shell.flight.record(FlightKind::Deny, Some(keyn), None, "shutting-down");
             Some(error_response("run", "shutting-down", None).to_string_compact())
         }
-    }
-}
-
-/// Echoes the request's trace id (if any) into a `run` response so the
-/// client can correlate the reply with a later `trace` query.
-fn echo_trace_id(r: &mut Json, run: &RunRequest) {
-    if let Some(id) = &run.trace_id {
-        r.push("trace_id", id.as_str());
     }
 }
 
@@ -886,13 +638,14 @@ fn record_latency(shared: &Shared, queue_wait_us: u64, run_us: u64) {
 }
 
 fn run_job(shared: &Shared, runner: &BatchRunner, warm: &mut WarmMachine, mut job: Job) {
+    let flight = &shared.shell.flight;
     let queue_wait_us = job.enqueued.elapsed().as_micros() as u64;
     let keyn = fnv1a64(job.canonical.as_bytes());
     // The cancellation generation is sampled at dispatch: an operator
     // `cancel` stops jobs already running, not jobs still queued.
     let token = lock(&shared.cancel).clone();
     shared.counters.jobs_in_flight.fetch_add(1, Ordering::SeqCst);
-    shared.flight.record(FlightKind::Dequeue, Some(keyn), None, "");
+    flight.record(FlightKind::Dequeue, Some(keyn), None, "");
     let started = Instant::now();
 
     // The queue span covers enqueue -> dispatch; the execute span opens
@@ -922,7 +675,7 @@ fn run_job(shared: &Shared, runner: &BatchRunner, warm: &mut WarmMachine, mut jo
         Some(flag) => {
             if job.resume.is_some() {
                 shared.counters.jobs_resumed.fetch_add(1, Ordering::Relaxed);
-                shared.flight.record(FlightKind::Resume, Some(keyn), None, "");
+                flight.record(FlightKind::Resume, Some(keyn), None, "");
             }
             let checkpointed = run_checkpointed(
                 entry.title,
@@ -947,7 +700,7 @@ fn run_job(shared: &Shared, runner: &BatchRunner, warm: &mut WarmMachine, mut jo
                     shared.counters.jobs_preempted.fetch_add(1, Ordering::Relaxed);
                     let run_us = started.elapsed().as_micros() as u64;
                     shared.counters.jobs_in_flight.fetch_sub(1, Ordering::SeqCst);
-                    shared.flight.record(FlightKind::Preempt, Some(keyn), None, "parked");
+                    flight.record(FlightKind::Preempt, Some(keyn), None, "parked");
                     record_latency(shared, queue_wait_us, run_us);
                     finish_job_trace(shared, &mut job, exec, "preempted", run_us);
                     let mut r = error_response("run", "preempted", None);
@@ -964,7 +717,7 @@ fn run_job(shared: &Shared, runner: &BatchRunner, warm: &mut WarmMachine, mut jo
                     shared.counters.jobs_failed.fetch_add(1, Ordering::Relaxed);
                     let run_us = started.elapsed().as_micros() as u64;
                     shared.counters.jobs_in_flight.fetch_sub(1, Ordering::SeqCst);
-                    shared.flight.record(FlightKind::Complete, Some(keyn), None, "bad-checkpoint");
+                    flight.record(FlightKind::Complete, Some(keyn), None, "bad-checkpoint");
                     record_latency(shared, queue_wait_us, run_us);
                     finish_job_trace(shared, &mut job, exec, "bad-checkpoint", run_us);
                     let mut r = error_response("run", "bad-checkpoint", Some(&reason));
@@ -993,7 +746,7 @@ fn run_job(shared: &Shared, runner: &BatchRunner, warm: &mut WarmMachine, mut jo
             let bytes: Arc<str> = Arc::from(report.to_json().to_string_compact());
             lock(&shared.cache).put(job.canonical.clone(), Arc::clone(&bytes));
             shared.counters.jobs_completed.fetch_add(1, Ordering::Relaxed);
-            shared.flight.record(FlightKind::Complete, Some(keyn), None, "completed");
+            flight.record(FlightKind::Complete, Some(keyn), None, "completed");
             finish_job_trace(shared, &mut job, exec, "completed", run_us);
             let profile = job.run.profile.then(|| profile_json(&report));
             render_run_ok(
@@ -1014,7 +767,7 @@ fn run_job(shared: &Shared, runner: &BatchRunner, warm: &mut WarmMachine, mut jo
             } else {
                 shared.counters.jobs_failed.fetch_add(1, Ordering::Relaxed);
             }
-            shared.flight.record(FlightKind::Complete, Some(keyn), None, outcome);
+            flight.record(FlightKind::Complete, Some(keyn), None, outcome);
             finish_job_trace(shared, &mut job, exec, outcome, run_us);
             let mut r = error_response(
                 "run",
@@ -1030,12 +783,8 @@ fn run_job(shared: &Shared, runner: &BatchRunner, warm: &mut WarmMachine, mut jo
     job.reply.send(response);
 }
 
-/// Closes the execute span with its outcome, feeds the run time to the
-/// tail-sampling policy, and files the span tree iff the policy keeps
-/// it: always for explicit `trace_id` requests and non-`completed`
-/// outcomes, otherwise only when `run_us` lands above the rolling p99
-/// observed *before* this job (so retention is deterministic for a
-/// given request history).
+/// Closes the execute span with its outcome and offers the tree for
+/// retention; a non-`completed` outcome is always kept.
 fn finish_job_trace(
     shared: &Shared,
     job: &mut Job,
@@ -1048,10 +797,7 @@ fn finish_job_trace(
         t.rec.attr(exec, "outcome", outcome);
         t.rec.end(exec);
     }
-    let interesting = t.explicit || outcome != "completed";
-    if lock(&shared.tail).observe(run_us, interesting) {
-        t.store(shared);
-    }
+    shared.shell.retain(t, Some((run_us, outcome != "completed")), |_| ());
 }
 
 /// Per-record stage profiles of a batch, in record order:
@@ -1067,32 +813,6 @@ fn profile_json(report: &capsule_bench::BatchReport) -> Json {
         rows.push(row);
     }
     Json::Array(rows)
-}
-
-fn counters_json(shared: &Shared) -> Json {
-    let c = &shared.counters;
-    let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
-    let mut counters = Json::object();
-    counters
-        .push("connections", get(&c.connections))
-        .push("requests", get(&c.requests))
-        .push("bad_requests", get(&c.bad_requests))
-        .push("jobs_accepted", get(&c.jobs_accepted))
-        .push("jobs_rejected", get(&c.jobs_rejected))
-        .push("jobs_completed", get(&c.jobs_completed))
-        .push("jobs_failed", get(&c.jobs_failed))
-        .push("jobs_cancelled", get(&c.jobs_cancelled))
-        .push("cache_hits", get(&c.cache_hits))
-        .push("cache_misses", get(&c.cache_misses))
-        .push("cancel_requests", get(&c.cancel_requests))
-        .push("preempt_requests", get(&c.preempt_requests))
-        .push("jobs_preempted", get(&c.jobs_preempted))
-        .push("jobs_resumed", get(&c.jobs_resumed))
-        .push("checkpoints_stored", get(&c.checkpoints_stored))
-        .push("checkpoint_fetches", get(&c.checkpoint_fetches))
-        .push("checkpoint_puts", get(&c.checkpoint_puts))
-        .push("snapshot_bytes", get(&c.snapshot_bytes));
-    counters
 }
 
 /// The deterministic queue-pressure estimate exposed by `stats`,
@@ -1112,7 +832,7 @@ fn predicted_wait_us(shared: &Shared) -> u64 {
 
 fn stats_response(shared: &Shared) -> Json {
     let c = &shared.counters;
-    let counters = counters_json(shared);
+    let counters = Service::counters(shared);
     let (queue_wait, run) = {
         let lat = lock(&shared.latencies);
         (lat.queue_wait_us.to_json(), lat.run_us.to_json())
@@ -1126,9 +846,9 @@ fn stats_response(shared: &Shared) -> Json {
         .push("checkpoint_capacity", shared.opts.checkpoints)
         .push("checkpoint_entries", lock(&shared.checkpoints).len())
         .push("jobs_in_flight", c.jobs_in_flight.load(Ordering::SeqCst))
-        .push("traces_stored", lock(&shared.traces).len())
-        .push("flight_capacity", shared.flight.capacity())
-        .push("flight_recorded", shared.flight.recorded())
+        .push("traces_stored", lock(&shared.shell.traces).len())
+        .push("flight_capacity", shared.shell.flight.capacity())
+        .push("flight_recorded", shared.shell.flight.recorded())
         .push("ewma_queue_wait_us", shared.ewma_queue_wait.get())
         .push("ewma_run_us", shared.ewma_run.get())
         .push("predicted_wait_us", predicted_wait_us(shared))
@@ -1153,87 +873,18 @@ fn health_response(shared: &Shared, key: Option<&str>) -> Json {
         .push("ewma_queue_wait_us", shared.ewma_queue_wait.get())
         .push("ewma_run_us", shared.ewma_run.get())
         .push("predicted_wait_us", predicted_wait_us(shared))
-        .push("traces_stored", lock(&shared.traces).len())
-        .push("flight_recorded", shared.flight.recorded());
+        .push("traces_stored", lock(&shared.shell.traces).len())
+        .push("flight_recorded", shared.shell.flight.recorded());
     r
 }
 
-/// The load gauges as embedded in the `capsule-dump/1` artifact.
-fn gauges_json(shared: &Shared) -> Json {
-    let mut g = Json::object();
-    g.push("workers", shared.opts.workers)
-        .push("queue_capacity", shared.opts.queue)
-        .push("jobs_in_flight", shared.counters.jobs_in_flight.load(Ordering::SeqCst))
-        .push("ewma_queue_wait_us", shared.ewma_queue_wait.get())
-        .push("ewma_run_us", shared.ewma_run.get())
-        .push("predicted_wait_us", predicted_wait_us(shared))
-        .push("cache_entries", lock(&shared.cache).len())
-        .push("checkpoint_entries", lock(&shared.checkpoints).len())
-        .push("traces_stored", lock(&shared.traces).len());
-    g
-}
-
-/// The versioned post-mortem artifact (`capsule-dump/1`): the flight
-/// ring, every retained trace, the live gauges and the counters, in one
-/// self-describing object shared by the `dump` op, the panic hook and
-/// the stall watchdog.
-fn dump_json(shared: &Shared) -> Json {
-    let mut d = Json::object();
-    d.push("schema", "capsule-dump/1")
-        .push("source", "serve")
-        .push("flight", shared.flight.snapshot().to_json());
-    let mut traces = Vec::new();
-    for (id, tree) in lock(&shared.traces).entries() {
-        let mut t = Json::object();
-        t.push("trace_id", id).push("trace", tree.clone());
-        traces.push(t);
-    }
-    d.push("traces", Json::Array(traces))
-        .push("gauges", gauges_json(shared))
-        .push("counters", counters_json(shared));
-    d
-}
-
-/// The `dump` op: the `capsule-dump/1` artifact inline in the response.
-fn dump_response(shared: &Shared) -> Json {
-    let mut r = response_head("dump", true);
-    r.push("dump", dump_json(shared));
-    r
-}
-
-/// Serializes the dump artifact to `path`, tagged with what triggered
-/// it. Never panics — a failing dump on the panic path must not mask
-/// the original panic.
-fn write_dump_file(shared: &Shared, path: &str, reason: &str) {
-    let mut d = dump_json(shared);
-    d.push("reason", reason);
-    let mut body = d.to_string_compact();
-    body.push('\n');
-    match std::fs::write(path, body) {
-        Ok(()) => eprintln!("capsule-serve: wrote dump ({reason}) to {path}"),
-        Err(e) => eprintln!("capsule-serve: failed to write dump to {path}: {e}"),
-    }
-}
-
-/// Post-mortem hooks, opt-in via the environment:
-///
-/// - `CAPSULE_SERVE_DUMP_ON_PANIC=<path>` chains a panic hook that
-///   writes the dump artifact before deferring to the previous hook;
-/// - `CAPSULE_SERVE_WATCHDOG_MS=<ms>` starts a stall watchdog that
-///   writes the dump to `CAPSULE_SERVE_WATCHDOG_DUMP` (default
-///   `capsule-dump.json`) whenever jobs stay in flight for a full
-///   interval without any job reaching a terminal state.
-fn install_dump_hooks(shared: &Arc<Shared>) {
-    if let Ok(path) = std::env::var("CAPSULE_SERVE_DUMP_ON_PANIC") {
-        if !path.is_empty() {
-            let shared = Arc::clone(shared);
-            let previous = std::panic::take_hook();
-            std::panic::set_hook(Box::new(move |info| {
-                write_dump_file(&shared, &path, "panic");
-                previous(info);
-            }));
-        }
-    }
+/// The stall watchdog, opt-in via the environment:
+/// `CAPSULE_SERVE_WATCHDOG_MS=<ms>` writes the dump artifact to
+/// `CAPSULE_SERVE_WATCHDOG_DUMP` (default `capsule-dump.json`) whenever
+/// jobs stay in flight for a full interval without any job reaching a
+/// terminal state. The panic hook (`CAPSULE_SERVE_DUMP_ON_PANIC`) is the
+/// shell's.
+fn start_watchdog(shared: &Arc<Shared>) {
     let interval = crate::env::env_u64("CAPSULE_SERVE_WATCHDOG_MS", 0);
     if interval > 0 {
         let path = std::env::var("CAPSULE_SERVE_WATCHDOG_DUMP")
@@ -1254,7 +905,7 @@ fn progress_mark(shared: &Shared) -> u64 {
 fn watchdog_loop(shared: &Shared, interval_ms: u64, path: &str) {
     let mut last = progress_mark(shared);
     let mut stalled_since: Option<Instant> = None;
-    while shared.running.load(Ordering::SeqCst) {
+    while shared.shell.running() {
         // Sleep in short slices so shutdown is observed promptly even
         // with a long stall interval.
         std::thread::sleep(Duration::from_millis(interval_ms.clamp(1, 100)));
@@ -1284,7 +935,7 @@ fn metrics_response(shared: &Shared) -> Json {
     let c = &shared.counters;
     let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
     let mut m = MetricsRegistry::new();
-    m.set("capsule_serve_bad_requests_total", &[], get(&c.bad_requests));
+    m.set("capsule_serve_bad_requests_total", &[], get(&shared.shell.bad_requests));
     m.set("capsule_serve_jobs_accepted_total", &[], get(&c.jobs_accepted));
     m.set("capsule_serve_jobs_rejected_total", &[], get(&c.jobs_rejected));
     m.set("capsule_serve_jobs_completed_total", &[], get(&c.jobs_completed));
@@ -1308,11 +959,11 @@ fn metrics_response(shared: &Shared) -> Json {
     m.set("capsule_serve_checkpoint_cycles", &[], shared.opts.checkpoint_cycles);
     m.set("capsule_serve_checkpoint_capacity", &[], shared.opts.checkpoints as u64);
     m.set("capsule_serve_checkpoint_entries", &[], lock(&shared.checkpoints).len() as u64);
-    m.set("capsule_serve_traces_stored", &[], lock(&shared.traces).len() as u64);
+    m.set("capsule_serve_traces_stored", &[], lock(&shared.shell.traces).len() as u64);
     m.set("capsule_serve_cache_evictions_total", &[], lock(&shared.cache).evictions());
     m.set("capsule_serve_checkpoint_evictions_total", &[], lock(&shared.checkpoints).evictions());
-    m.set("capsule_serve_flight_capacity", &[], shared.flight.capacity() as u64);
-    m.set("capsule_serve_flight_recorded_total", &[], shared.flight.recorded());
+    m.set("capsule_serve_flight_capacity", &[], shared.shell.flight.capacity() as u64);
+    m.set("capsule_serve_flight_recorded_total", &[], shared.shell.flight.recorded());
     m.set("capsule_serve_ewma_queue_wait_us", &[], shared.ewma_queue_wait.get());
     m.set("capsule_serve_ewma_run_us", &[], shared.ewma_run.get());
     m.set("capsule_serve_predicted_wait_us", &[], predicted_wait_us(shared));
@@ -1326,28 +977,6 @@ fn metrics_response(shared: &Shared) -> Json {
     r
 }
 
-/// The `trace` op: the stored span tree for a client-chosen trace id,
-/// or an `unknown-trace` error if the id was never submitted, tracing
-/// is disabled (`traces: 0`), or the tree has been evicted.
-fn trace_response(shared: &Shared, trace_id: &str) -> Json {
-    match lock(&shared.traces).get(trace_id).cloned() {
-        Some(tree) => {
-            let mut r = response_head("trace", true);
-            r.push("trace_id", trace_id).push("trace", tree);
-            r
-        }
-        None => {
-            let mut r = error_response(
-                "trace",
-                "unknown-trace",
-                Some("no stored trace for this id (never submitted, disabled, or evicted)"),
-            );
-            r.push("trace_id", trace_id);
-            r
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1359,11 +988,12 @@ mod tests {
     #[test]
     fn write_dump_file_emits_a_versioned_artifact() {
         let server = Server::start("127.0.0.1:0", ServerOptions::default()).unwrap();
-        server.shared.flight.record(FlightKind::Enqueue, Some(0xb517_4289_4a5f_f828), None, "");
+        let shared = &server.handle.service;
+        shared.shell.flight.record(FlightKind::Enqueue, Some(0xb517_4289_4a5f_f828), None, "");
         let path =
             std::env::temp_dir().join(format!("capsule-dump-test-{}.json", std::process::id()));
         let path = path.to_str().unwrap().to_string();
-        write_dump_file(&server.shared, &path, "unit-test");
+        write_dump_file(&**shared, &path, "unit-test");
         let body = std::fs::read_to_string(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         assert!(body.starts_with('{') && body.ends_with("}\n"));
@@ -1375,7 +1005,24 @@ mod tests {
         assert!(body.contains("\"counters\":"));
 
         // A path that cannot be created reports instead of panicking.
-        write_dump_file(&server.shared, "/nonexistent-dir/x/dump.json", "unit-test");
+        write_dump_file(&**shared, "/nonexistent-dir/x/dump.json", "unit-test");
+        server.shutdown();
+    }
+
+    /// Both ends of a served connection send small writes at once: the
+    /// shell sets `TCP_NODELAY` on every accepted stream, the client in
+    /// `Connection::from_stream` (which the fleet's pool dials through).
+    #[test]
+    fn served_sockets_set_tcp_nodelay() {
+        let server = Server::start("127.0.0.1:0", ServerOptions::default()).unwrap();
+        let addr = server.local_addr().to_string();
+        let mut conn = crate::client::Connection::connect_with(&addr, crate::Proto::V2).unwrap();
+        assert!(conn.request(r#"{"op":"list"}"#).is_ok());
+        assert!(conn.writer.nodelay().unwrap(), "client socket");
+        let conns = lock(&server.handle.service.shell.conns);
+        assert_eq!(conns.len(), 1);
+        assert!(conns.values().all(|s| s.nodelay().unwrap()), "accepted socket");
+        drop(conns);
         server.shutdown();
     }
 
@@ -1385,7 +1032,7 @@ mod tests {
     #[test]
     fn predicted_wait_follows_the_gauges() {
         let server = Server::start("127.0.0.1:0", ServerOptions::default()).unwrap();
-        let shared = &server.shared;
+        let shared = &server.handle.service;
         assert_eq!(predicted_wait_us(shared), 0);
         shared.ewma_queue_wait.observe(500);
         shared.ewma_run.observe(9000);

@@ -6,12 +6,33 @@
 //! the test cancels them or stacks jobs behind them; cheap jobs use
 //! smoke-scale scenarios.
 
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use capsule_core::output::Json;
 use capsule_serve::{Server, ServerOptions};
+
+/// Every job on the flight ring follows causality: for each cache key,
+/// its `enqueue`, then its `start` (`dequeue` on a server, `dispatch` at
+/// a fleet), then its `complete`.
+fn assert_causal(events: &[Json], start: &str) {
+    let mut by_key: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
+    for e in events {
+        if let (Some(key), Some(kind)) =
+            (e.get("cache_key").and_then(Json::as_str), e.get("kind").and_then(Json::as_str))
+        {
+            by_key.entry(key).or_default().push(kind);
+        }
+    }
+    assert!(!by_key.is_empty(), "no job events on the ring");
+    for (key, kinds) in &by_key {
+        let lifecycle: Vec<&str> =
+            kinds.iter().copied().filter(|k| ["enqueue", start, "complete"].contains(k)).collect();
+        assert_eq!(lifecycle, ["enqueue", start, "complete"], "job {key} out of order: {kinds:?}");
+    }
+}
 
 fn start(workers: usize, queue: usize, cache: usize) -> Server {
     start_with_checkpoints(workers, queue, cache, 0)
@@ -763,6 +784,7 @@ fn dump_returns_a_versioned_post_mortem_artifact() {
     let kinds: Vec<&str> =
         events.iter().filter_map(|e| e.get("kind").and_then(Json::as_str)).collect();
     assert_eq!(kinds, ["enqueue", "dequeue", "complete", "enqueue", "dequeue", "complete"]);
+    assert_causal(events, "dequeue");
     assert_eq!(events[2].get("outcome").and_then(Json::as_str), Some("completed"));
     assert_eq!(events[5].get("outcome").and_then(Json::as_str), Some("failed"));
     assert_eq!(
