@@ -41,21 +41,14 @@ impl FailureWindow {
         }
     }
 
-    /// Failures within the window ending at `now`; prunes older entries.
-    pub fn count(&mut self, now: Instant) -> usize {
-        while let Some(&front) = self.failures.front() {
-            if now.duration_since(front) > self.window {
-                self.failures.pop_front();
-            } else {
-                break;
-            }
-        }
-        self.failures.len()
+    /// Failures within the window ending at `now`.
+    pub fn count(&self, now: Instant) -> usize {
+        self.failures.iter().filter(|&&t| now.duration_since(t) <= self.window).count()
     }
 
     /// True while the recent-failure count is at or above the threshold —
     /// dispatch must skip this backend until the window slides.
-    pub fn throttled(&mut self, now: Instant) -> bool {
+    pub fn throttled(&self, now: Instant) -> bool {
         self.threshold > 0 && self.count(now) >= self.threshold
     }
 }

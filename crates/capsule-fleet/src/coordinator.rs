@@ -34,14 +34,16 @@ use std::time::{Duration, Instant};
 
 use capsule_core::output::Json;
 use capsule_core::stats::Histogram;
-use capsule_core::{FlightKind, MetricsRegistry, TraceRecorder};
+use capsule_core::{FlightKind, TraceRecorder};
 use capsule_serve::client::{self, ClientError, ConnectionPool, Proto};
 use capsule_serve::protocol::{
     cache_key as protocol_cache_key, error_response, fnv1a64, hex_encode, list_response,
     response_head, Request, RunRequest,
 };
+use capsule_serve::readings::{self, load, Part, Reading};
 use capsule_serve::shell::{
-    dump_response, echo_trace_id, lock, Handle, Reply, RunTrace, Service, Shell,
+    dump_response, echo_trace_id, lock, metrics_response, push_stats, Handle, Reply, RunTrace,
+    Service, Shell,
 };
 
 use crate::backend::Backend;
@@ -303,7 +305,13 @@ impl Service for Shared {
             Request::Cancel => handle_cancel(shared),
             Request::Stats => stats_response(shared),
             Request::List => list_response(),
-            Request::Metrics => metrics_response(shared),
+            Request::Metrics => metrics_response(&**shared, |m, prefix| {
+                let prefix = format!("{prefix}_backend");
+                for b in &lock(&shared.state).backends {
+                    let labels = [("backend", b.name.as_str())];
+                    readings::scrape(m, &prefix, &labels, BACKEND_READINGS, b);
+                }
+            }),
             // Each reachable backend's own tree for the id is grafted
             // under the dispatch span that forwarded the job there: one
             // query reconstructs the whole distributed job.
@@ -327,65 +335,44 @@ impl Service for Shared {
         self.slots.notify_all();
     }
 
-    /// The fleet-level gauges snapshot included in a dump artifact.
-    fn gauges(&self) -> Json {
-        let mut st = lock(&self.state);
-        let now = Instant::now();
-        let mut backends = Vec::with_capacity(st.backends.len());
-        let mut alive = 0usize;
-        let mut in_flight = 0usize;
-        for b in st.backends.iter_mut() {
-            alive += usize::from(b.alive);
-            in_flight += b.in_flight;
-            let mut j = Json::object();
-            j.push("name", b.name.as_str())
-                .push("alive", b.alive)
-                .push("throttled", b.window.throttled(now))
-                .push("workers", b.workers)
-                .push("in_flight", b.in_flight)
-                .push("ewma_job_us", b.ewma_job_us)
-                .push("predicted_wait_us", b.predicted_wait_us());
-            backends.push(j);
-        }
-        let pending = st.pending;
-        let total = st.backends.len();
-        drop(st);
-        let mut g = Json::object();
-        g.push("queue_capacity", self.opts.queue)
-            .push("pending", pending)
-            .push("jobs_in_flight", in_flight)
-            .push("backends_total", total)
-            .push("backends_alive", alive)
-            .push("traces_stored", lock(&self.shell.traces).len())
-            .push("backends", Json::Array(backends));
-        g
-    }
+    const READINGS: &'static [Reading<Shared>] = &[
+        Reading::gauge("backends", |s| lock(&s.state).backends.len() as u64),
+        Reading::gauge("backends_alive", |s| {
+            lock(&s.state).backends.iter().filter(|b| b.alive).count() as u64
+        }),
+        Reading::gauge("queue_capacity", |s| s.opts.queue as u64),
+        Reading::gauge("pending", |s| lock(&s.state).pending as u64),
+        Reading::gauge("jobs_in_flight", |s| {
+            lock(&s.state).backends.iter().map(|b| b.in_flight as u64).sum()
+        }),
+        Reading::counter("jobs_accepted", |s| load(&s.counters.jobs_accepted)),
+        Reading::counter("jobs_rejected", |s| load(&s.counters.jobs_rejected)),
+        Reading::counter("jobs_completed", |s| load(&s.counters.jobs_completed)),
+        Reading::counter("jobs_failed", |s| load(&s.counters.jobs_failed)),
+        Reading::counter("jobs_cancelled", |s| load(&s.counters.jobs_cancelled)),
+        Reading::counter("retries", |s| load(&s.counters.retries)),
+        Reading::counter("backend_failures", |s| load(&s.counters.backend_failures)),
+        Reading::counter("cancel_requests", |s| load(&s.counters.cancel_requests)),
+        Reading::counter("preempt_requests", |s| load(&s.counters.preempt_requests)),
+        Reading::counter("jobs_migrated", |s| load(&s.counters.jobs_migrated)),
+        Reading::counter("checkpoint_fetches", |s| load(&s.counters.checkpoint_fetches)),
+        Reading::counter("checkpoint_puts", |s| load(&s.counters.checkpoint_puts)),
+        // The prober bumps these on its own clock.
+        Reading::counter("probes_ok", |s: &Shared| load(&s.counters.probes_ok)).unscraped(),
+        Reading::counter("probes_failed", |s: &Shared| load(&s.counters.probes_failed)).unscraped(),
+        // A scrape never touches the pool; dispatch and forwarded ops do.
+        Reading::counter("pool_checkouts", |s| s.pool.counters().checkouts),
+        Reading::counter("pool_dials", |s| s.pool.counters().dials),
+        Reading::counter("pool_redials", |s| s.pool.counters().redials),
+        Reading::counter("pool_reuses", |s| s.pool.counters().reuses),
+        Reading::histogram("dispatch_wait_us", |s| lock(&s.latencies).dispatch_wait_us.clone()),
+        Reading::histogram("job_us", |s| lock(&s.latencies).job_us.clone()),
+    ];
 
-    /// The fleet's own counters as one JSON object (shared by `stats` and
-    /// `dump`).
-    fn counters(&self) -> Json {
-        let c = &self.counters;
-        let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let mut counters = Json::object();
-        counters
-            .push("connections", get(&self.shell.connections))
-            .push("requests", get(&self.shell.requests))
-            .push("bad_requests", get(&self.shell.bad_requests))
-            .push("jobs_accepted", get(&c.jobs_accepted))
-            .push("jobs_rejected", get(&c.jobs_rejected))
-            .push("jobs_completed", get(&c.jobs_completed))
-            .push("jobs_failed", get(&c.jobs_failed))
-            .push("jobs_cancelled", get(&c.jobs_cancelled))
-            .push("retries", get(&c.retries))
-            .push("backend_failures", get(&c.backend_failures))
-            .push("cancel_requests", get(&c.cancel_requests))
-            .push("preempt_requests", get(&c.preempt_requests))
-            .push("jobs_migrated", get(&c.jobs_migrated))
-            .push("checkpoint_fetches", get(&c.checkpoint_fetches))
-            .push("checkpoint_puts", get(&c.checkpoint_puts))
-            .push("probes_ok", get(&c.probes_ok))
-            .push("probes_failed", get(&c.probes_failed));
-        counters
+    /// A dump carries every backend's row, as `stats` shows it.
+    fn extend_dump(&self, dump: &mut Json) {
+        let rows = lock(&self.state).backends.iter().map(backend_row).collect();
+        dump.push("backends", Json::Array(rows));
     }
 }
 
@@ -815,11 +802,11 @@ fn acquire_backend(
         let addrs: Vec<String> = st.backends.iter().map(|b| b.addr.clone()).collect();
         let order = preference_order(&addrs, key);
 
-        let usable = |b: &mut Backend, now: Instant| b.alive && !b.window.throttled(now);
+        let usable = |b: &Backend| b.alive && !b.window.throttled(now);
         let mut candidates = 0usize;
         let mut free = None;
         for &i in &order {
-            if attempted.contains(&i) || !usable(&mut st.backends[i], now) {
+            if attempted.contains(&i) || !usable(&st.backends[i]) {
                 continue;
             }
             candidates += 1;
@@ -961,46 +948,38 @@ fn forward_op(shared: &Shared, addr: &str, line: &str) -> Option<Json> {
     (json.get("ok").and_then(Json::as_bool) == Some(true)).then_some(json)
 }
 
-/// A consistent snapshot of one backend's coordinator-side view.
-struct BackendSnap {
-    name: String,
-    addr: String,
-    alive: bool,
-    workers: usize,
-    in_flight: usize,
-    throttled: bool,
-    failures_in_window: usize,
-    dispatched: u64,
-    completed: u64,
-    failures: u64,
-    ewma_job_us: u64,
-    predicted_wait_us: u64,
+/// The per-backend readings, one row of `stats`, `health`, a dump and
+/// `metrics` (as `capsule_fleet_backend_<key>{backend="<name>"}`) per
+/// backend.
+const BACKEND_READINGS: &[Reading<Backend>] = &[
+    Reading::flag("alive", |b| b.alive),
+    // Probe-learned, and the window count slides with the clock.
+    Reading::gauge("workers", |b: &Backend| b.workers as u64).unscraped(),
+    Reading::gauge("in_flight", |b| b.in_flight as u64),
+    Reading::flag("throttled", |b| b.window.throttled(Instant::now())),
+    Reading::gauge("failures_in_window", |b: &Backend| b.window.count(Instant::now()) as u64)
+        .unscraped(),
+    Reading::total("dispatched", |b| b.dispatched),
+    Reading::total("completed", |b| b.completed),
+    Reading::total("failures", |b| b.failures),
+    Reading::gauge("ewma_job_us", |b| b.ewma_job_us),
+    Reading::gauge("predicted_wait_us", Backend::predicted_wait_us),
+];
+
+/// A backend's name, address and readings.
+fn backend_row(b: &Backend) -> Json {
+    let mut j = Json::object();
+    j.push("name", b.name.as_str()).push("addr", b.addr.as_str());
+    readings::render(&mut j, Part::Gauges, BACKEND_READINGS, b);
+    j
 }
 
 fn stats_response(shared: &Shared) -> Json {
-    let (snaps, pending) = {
-        let mut st = lock(&shared.state);
-        let now = Instant::now();
-        let snaps: Vec<BackendSnap> = st
-            .backends
-            .iter_mut()
-            .map(|b| BackendSnap {
-                name: b.name.clone(),
-                addr: b.addr.clone(),
-                alive: b.alive,
-                workers: b.workers,
-                in_flight: b.in_flight,
-                throttled: b.window.throttled(now),
-                failures_in_window: b.window.count(now),
-                dispatched: b.dispatched,
-                completed: b.completed,
-                failures: b.failures,
-                ewma_job_us: b.ewma_job_us,
-                predicted_wait_us: b.predicted_wait_us(),
-            })
-            .collect();
-        (snaps, st.pending)
-    };
+    let rows: Vec<(Json, bool, String)> = lock(&shared.state)
+        .backends
+        .iter()
+        .map(|b| (backend_row(b), b.alive, b.addr.clone()))
+        .collect();
 
     // Live per-backend stats are fetched without holding the state lock.
     let mut aggregate: Vec<(String, u64)> = Vec::new();
@@ -1008,8 +987,8 @@ fn stats_response(shared: &Shared) -> Json {
     let mut agg_run = Histogram::new();
     let mut reporting = 0usize;
     let mut backends_json = Vec::new();
-    for s in &snaps {
-        let remote = if s.alive { forward_op(shared, &s.addr, r#"{"op":"stats"}"#) } else { None };
+    for (mut row, alive, addr) in rows {
+        let remote = if alive { forward_op(shared, &addr, r#"{"op":"stats"}"#) } else { None };
         if let Some(stats) = &remote {
             reporting += 1;
             if let Some(counters) = stats.get("counters").and_then(Json::as_object) {
@@ -1028,41 +1007,13 @@ fn stats_response(shared: &Shared) -> Json {
                 }
             }
         }
-        let mut b = Json::object();
-        b.push("name", s.name.as_str())
-            .push("addr", s.addr.as_str())
-            .push("alive", s.alive)
-            .push("workers", s.workers)
-            .push("in_flight", s.in_flight)
-            .push("throttled", s.throttled)
-            .push("failures_in_window", s.failures_in_window)
-            .push("dispatched", s.dispatched)
-            .push("completed", s.completed)
-            .push("failures", s.failures)
-            .push("ewma_job_us", s.ewma_job_us)
-            .push("predicted_wait_us", s.predicted_wait_us)
-            .push("stats", remote.unwrap_or(Json::Null));
-        backends_json.push(b);
+        row.push("stats", remote.unwrap_or(Json::Null));
+        backends_json.push(row);
     }
 
-    let counters = Service::counters(shared);
-    let (dispatch_wait, job) = {
-        let lat = lock(&shared.latencies);
-        (lat.dispatch_wait_us.to_json(), lat.job_us.to_json())
-    };
+    // Read after the forwards above, so the pool counters include them.
     let mut fleet = Json::object();
-    fleet
-        .push("backends", snaps.len())
-        .push("backends_alive", snaps.iter().filter(|s| s.alive).count())
-        .push("queue_capacity", shared.opts.queue)
-        .push("pending", pending)
-        .push("jobs_in_flight", snaps.iter().map(|s| s.in_flight).sum::<usize>())
-        .push("traces_stored", lock(&shared.shell.traces).len())
-        .push("flight_capacity", shared.shell.flight.capacity())
-        .push("flight_recorded", shared.shell.flight.recorded())
-        .push("counters", counters)
-        .push("dispatch_wait_us", dispatch_wait)
-        .push("job_us", job);
+    push_stats(shared, &mut fleet);
 
     let mut agg = Json::object();
     let mut agg_counters = Json::object();
@@ -1079,79 +1030,6 @@ fn stats_response(shared: &Shared) -> Json {
     r
 }
 
-/// The deterministic metrics exposition (docs/OBSERVABILITY.md).
-/// Scrape- and time-perturbed counters are deliberately excluded:
-/// `connections`/`requests` (each scrape is one of each) and
-/// `probes_ok`/`probes_failed` (bumped continuously by the prober), so
-/// that two back-to-back scrapes of an idle fleet are byte-identical.
-/// The pool and flight families stay scrape-stable too: a metrics
-/// scrape never touches the connection pool (only dispatch and `stats`
-/// forwarding do), and the flight ring only moves on job lifecycle and
-/// backend liveness transitions.
-fn metrics_response(shared: &Shared) -> Json {
-    let c = &shared.counters;
-    let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
-    let mut m = MetricsRegistry::new();
-    m.set("capsule_fleet_bad_requests_total", &[], get(&shared.shell.bad_requests));
-    m.set("capsule_fleet_jobs_accepted_total", &[], get(&c.jobs_accepted));
-    m.set("capsule_fleet_jobs_rejected_total", &[], get(&c.jobs_rejected));
-    m.set("capsule_fleet_jobs_completed_total", &[], get(&c.jobs_completed));
-    m.set("capsule_fleet_jobs_failed_total", &[], get(&c.jobs_failed));
-    m.set("capsule_fleet_jobs_cancelled_total", &[], get(&c.jobs_cancelled));
-    m.set("capsule_fleet_retries_total", &[], get(&c.retries));
-    m.set("capsule_fleet_backend_failures_total", &[], get(&c.backend_failures));
-    m.set("capsule_fleet_cancel_requests_total", &[], get(&c.cancel_requests));
-    m.set("capsule_fleet_preempt_requests_total", &[], get(&c.preempt_requests));
-    m.set("capsule_fleet_jobs_migrated_total", &[], get(&c.jobs_migrated));
-    m.set("capsule_fleet_checkpoint_fetches_total", &[], get(&c.checkpoint_fetches));
-    m.set("capsule_fleet_checkpoint_puts_total", &[], get(&c.checkpoint_puts));
-    m.set("capsule_fleet_queue_capacity", &[], shared.opts.queue as u64);
-    m.set("capsule_fleet_traces_stored", &[], lock(&shared.shell.traces).len() as u64);
-    m.set("capsule_fleet_flight_capacity", &[], shared.shell.flight.capacity() as u64);
-    m.set("capsule_fleet_flight_recorded_total", &[], shared.shell.flight.recorded());
-    let pool = shared.pool.counters();
-    m.set("capsule_fleet_pool_checkouts_total", &[], pool.checkouts);
-    m.set("capsule_fleet_pool_dials_total", &[], pool.dials);
-    m.set("capsule_fleet_pool_redials_total", &[], pool.redials);
-    m.set("capsule_fleet_pool_reuses_total", &[], pool.reuses);
-    {
-        let mut st = lock(&shared.state);
-        let now = Instant::now();
-        m.set("capsule_fleet_backends", &[], st.backends.len() as u64);
-        m.set(
-            "capsule_fleet_backends_alive",
-            &[],
-            st.backends.iter().filter(|b| b.alive).count() as u64,
-        );
-        m.set("capsule_fleet_pending", &[], st.pending as u64);
-        m.set(
-            "capsule_fleet_jobs_in_flight",
-            &[],
-            st.backends.iter().map(|b| b.in_flight as u64).sum(),
-        );
-        for b in st.backends.iter_mut() {
-            let name = b.name.clone();
-            let labels: &[(&str, &str)] = &[("backend", name.as_str())];
-            m.set("capsule_fleet_backend_alive", labels, u64::from(b.alive));
-            m.set("capsule_fleet_backend_throttled", labels, u64::from(b.window.throttled(now)));
-            m.set("capsule_fleet_backend_in_flight", labels, b.in_flight as u64);
-            m.set("capsule_fleet_backend_dispatched_total", labels, b.dispatched);
-            m.set("capsule_fleet_backend_completed_total", labels, b.completed);
-            m.set("capsule_fleet_backend_failures_total", labels, b.failures);
-            m.set("capsule_fleet_backend_ewma_job_us", labels, b.ewma_job_us);
-            m.set("capsule_fleet_backend_predicted_wait_us", labels, b.predicted_wait_us());
-        }
-    }
-    {
-        let lat = lock(&shared.latencies);
-        m.histogram("capsule_fleet_dispatch_wait_us", &[], &lat.dispatch_wait_us);
-        m.histogram("capsule_fleet_job_us", &[], &lat.job_us);
-    }
-    let mut r = response_head("metrics", true);
-    r.push("exposition", m.render());
-    r
-}
-
 /// Interprets the optional `health` affinity key: a 16-hex cache key
 /// parses to its u64 (the exact value run routing uses), anything else
 /// is FNV-hashed so arbitrary labels still rank deterministically.
@@ -1163,20 +1041,6 @@ fn health_key(key: &str) -> u64 {
     }
 }
 
-/// One backend's health row plus its sort rank inputs.
-struct HealthRow {
-    dead: bool,
-    throttled: bool,
-    predicted: u64,
-    pref: usize,
-    name: String,
-    addr: String,
-    alive: bool,
-    workers: usize,
-    in_flight: usize,
-    ewma_job_us: u64,
-}
-
 /// The fleet `health` op: backends ranked best-first for a new job —
 /// routable ones (alive, unthrottled) before throttled before dead,
 /// lower deterministic `predicted_wait_us` first, ties broken by the
@@ -1185,67 +1049,31 @@ struct HealthRow {
 /// job; the gauges behind the ranking ride along so a `capsule-top`
 /// snapshot or a reject-early policy can show its work.
 fn health_response(shared: &Shared, key: Option<&str>) -> Json {
-    let rkey = key.map(health_key);
-    let mut rows: Vec<HealthRow> = {
-        let mut st = lock(&shared.state);
-        let now = Instant::now();
+    let st = lock(&shared.state);
+    let mut pref: Vec<usize> = (0..st.backends.len()).collect();
+    if let Some(k) = key.map(health_key) {
         let addrs: Vec<String> = st.backends.iter().map(|b| b.addr.clone()).collect();
-        let pref: Vec<usize> = match rkey {
-            Some(k) => {
-                let order = preference_order(&addrs, k);
-                let mut pos = vec![0usize; addrs.len()];
-                for (p, &i) in order.iter().enumerate() {
-                    pos[i] = p;
-                }
-                pos
-            }
-            None => (0..addrs.len()).collect(),
-        };
-        st.backends
-            .iter_mut()
-            .enumerate()
-            .map(|(i, b)| HealthRow {
-                dead: !b.alive,
-                throttled: b.window.throttled(now),
-                predicted: b.predicted_wait_us(),
-                pref: pref[i],
-                name: b.name.clone(),
-                addr: b.addr.clone(),
-                alive: b.alive,
-                workers: b.workers,
-                in_flight: b.in_flight,
-                ewma_job_us: b.ewma_job_us,
-            })
-            .collect()
-    };
-    rows.sort_by(|a, b| {
-        (a.dead, a.throttled, a.predicted, a.pref, &a.name).cmp(&(
-            b.dead,
-            b.throttled,
-            b.predicted,
-            b.pref,
-            &b.name,
-        ))
+        for (p, i) in preference_order(&addrs, k).into_iter().enumerate() {
+            pref[i] = p;
+        }
+    }
+    let now = Instant::now();
+    let mut order: Vec<usize> = (0..st.backends.len()).collect();
+    order.sort_by_key(|&i| {
+        let b = &st.backends[i];
+        (!b.alive, b.window.throttled(now), b.predicted_wait_us(), pref[i], &b.name)
     });
-    let mut list = Vec::with_capacity(rows.len());
-    for (rank, r) in rows.iter().enumerate() {
-        let mut j = Json::object();
-        j.push("rank", rank)
-            .push("name", r.name.as_str())
-            .push("addr", r.addr.as_str())
-            .push("alive", r.alive)
-            .push("throttled", r.throttled)
-            .push("workers", r.workers)
-            .push("in_flight", r.in_flight)
-            .push("ewma_job_us", r.ewma_job_us)
-            .push("predicted_wait_us", r.predicted);
-        list.push(j);
+    let mut list = Vec::with_capacity(order.len());
+    for (rank, &i) in order.iter().enumerate() {
+        let mut row = backend_row(&st.backends[i]);
+        row.push("rank", rank);
+        list.push(row);
     }
     let mut resp = response_head("health", true);
     if let Some(k) = key {
         resp.push("key", k);
     }
-    resp.push("backends_alive", rows.iter().filter(|r| r.alive).count())
+    resp.push("backends_alive", st.backends.iter().filter(|b| b.alive).count())
         .push("backends", Json::Array(list));
     resp
 }

@@ -520,6 +520,128 @@ fn fleet_metrics_exposition_is_deterministic_and_golden_when_fresh() {
     backend.shutdown();
 }
 
+/// The scalar readings of a rendering — numbers and flags, minus the
+/// response's `ok` and a health row's `rank` — in order.
+fn scalars(j: &Json) -> Vec<(&str, &Json)> {
+    let object = j.as_object().expect("object");
+    let scalar = |k: &str, v: &Json| {
+        !["ok", "rank"].contains(&k) && (v.as_u64().is_some() || v.as_bool().is_some())
+    };
+    object.iter().filter(|(k, v)| scalar(k, v)).map(|(k, v)| (k.as_str(), v)).collect()
+}
+
+/// Checks one endpoint's views of its readings. `stats` is the `stats`
+/// body, which the shell renders from every row of the readings tables.
+/// Each of `views` carries exactly its scalars and `counters` (the
+/// dump's) exactly its `counters`, reading the same; the exposition
+/// carries every scalar as `<prefix>_<key>[_total]<labels>` and every
+/// histogram's count, with `stats`'s value. Only the scrape-perturbed
+/// `unscraped` keys may differ between views, and `metrics` omits them.
+fn check_readings(
+    stats: &Json,
+    views: &[&Json],
+    counters: Option<&Json>,
+    exposition: &str,
+    (prefix, labels): (&str, &str),
+    unscraped: &[&str],
+) {
+    let same = |a: &[(&str, &Json)], b: &[(&str, &Json)]| {
+        let keys = |v: &[(&str, &Json)]| v.iter().map(|(k, _)| k.to_string()).collect::<Vec<_>>();
+        assert_eq!(keys(a), keys(b));
+        for ((k, x), (_, y)) in a.iter().zip(b) {
+            assert!(unscraped.contains(k) || x == y, "{k}: {x:?} != {y:?}");
+        }
+    };
+    let mut readings = scalars(stats);
+    for view in views {
+        same(&readings, &scalars(view));
+    }
+    if let Some(dumped) = counters {
+        let counted = scalars(stats.get("counters").expect("counters"));
+        same(&counted, &scalars(dumped));
+        readings.extend(counted);
+    }
+    let sample = |name: String| {
+        exposition
+            .lines()
+            .find_map(|l| l.strip_prefix(name.as_str())?.strip_prefix(' ')?.parse().ok())
+    };
+    for (k, v) in readings {
+        let found = [
+            sample(format!("{prefix}_{k}{labels}")),
+            sample(format!("{prefix}_{k}_total{labels}")),
+        ];
+        if unscraped.contains(&k) {
+            assert_eq!(found, [None, None], "{k} is scrape-perturbed");
+        } else {
+            let want = v.as_u64().or_else(|| v.as_bool().map(u64::from));
+            assert!(found.contains(&want) && found.contains(&None), "{k}: {found:?} != {want:?}");
+        }
+    }
+    for (k, h) in stats.as_object().expect("object") {
+        if h.get("buckets").is_some() {
+            let count = h.get("count").and_then(Json::as_u64);
+            assert_eq!(sample(format!("{prefix}_{k}_count{labels}")), count, "{k}");
+        }
+    }
+}
+
+/// Every reading of both servers shows up in each view it belongs to,
+/// and after a real job the views agree: `stats`'s counters and gauges
+/// are the dump's, a server's `health` is its gauges, a backend's row
+/// reads the same in `stats`, `health` and the dump, and every
+/// `metrics` value is its `stats` value.
+#[test]
+fn every_reading_reads_the_same_in_stats_health_dump_and_metrics() {
+    let backend = start_backend();
+    let fleet = start_fleet(&[&backend], fleet_opts());
+    wait_for("backend alive", || backends_alive(&fleet) == 1);
+    assert!(ok(&request(&fleet, &run_line("table1_config"))));
+
+    // `stats` first: a fleet's `stats` forwards to its backends through
+    // the pool, which nothing after it touches.
+    let views = |addr: &str| {
+        let ask = |op: &str| request_once(addr, &format!(r#"{{"op":"{op}"}}"#)).expect(op);
+        let (stats, health, dump) = (ask("stats"), ask("health"), ask("dump"));
+        let metrics = ask("metrics");
+        let text = metrics.get("exposition").and_then(Json::as_str).expect("exposition");
+        (stats, health, dump.get("dump").cloned().expect("dump"), text.to_string())
+    };
+    let (stats, health, dump, exposition) = views(&backend.local_addr().to_string());
+    let dumped = |d: &Json, part: &str| d.get(part).cloned().expect(part);
+    check_readings(
+        &stats,
+        &[&health, &dumped(&dump, "gauges")],
+        Some(&dumped(&dump, "counters")),
+        &exposition,
+        ("capsule_serve", ""),
+        &["connections", "requests"],
+    );
+
+    let (stats, health, dump, exposition) = views(&fleet.local_addr().to_string());
+    check_readings(
+        stats.get("fleet").expect("fleet"),
+        &[&dumped(&dump, "gauges")],
+        Some(&dumped(&dump, "counters")),
+        &exposition,
+        ("capsule_fleet", ""),
+        &["connections", "requests", "probes_ok", "probes_failed"],
+    );
+    let row =
+        |j: &Json| dumped(j, "backends").as_array().and_then(|a| a.first()).cloned().expect("row");
+    check_readings(
+        &row(&stats),
+        &[&row(&health), &row(&dump)],
+        None,
+        &exposition,
+        ("capsule_fleet_backend", r#"{backend="b0"}"#),
+        &["workers", "failures_in_window"],
+    );
+
+    fleet.shutdown();
+    backend.shutdown();
+}
+
 /// The checkpoint-migration e2e (docs/CHECKPOINT.md): a checkpointed job
 /// is preempted through the fleet, the coordinator pulls the checkpoint
 /// off the victim backend, the victim is killed, and the job resumes on
@@ -627,6 +749,20 @@ fn preempted_job_migrates_off_a_killed_backend_with_identical_bytes() {
         Some(1),
         "the survivor must have resumed from the checkpoint"
     );
+
+    // Both expositions count the migration, and two scrapes of each are
+    // byte-identical.
+    let survivor_addr = backends[1 - victim].as_ref().expect("survivor").local_addr().to_string();
+    for (addr, line) in [
+        (fleet.local_addr().to_string(), "capsule_fleet_jobs_migrated_total 1"),
+        (survivor_addr, "capsule_serve_jobs_resumed_total 1"),
+    ] {
+        let first = request_once(&addr, r#"{"op":"metrics"}"#).expect("metrics");
+        let second = request_once(&addr, r#"{"op":"metrics"}"#).expect("metrics");
+        assert_eq!(first.to_string_compact(), second.to_string_compact(), "{addr}");
+        let text = first.get("exposition").and_then(Json::as_str).expect("exposition");
+        assert!(text.lines().any(|l| l == line), "{line:?} missing from:\n{text}");
+    }
 
     fleet.shutdown();
     reference.shutdown();

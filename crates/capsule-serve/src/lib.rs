@@ -28,7 +28,8 @@
 //!
 //! Both this server and `capsule-fleet` run on one connection shell
 //! ([`shell`]): listener, negotiation, request validation, shutdown and
-//! post-mortem dumps live there once.
+//! post-mortem dumps live there once, and every reading either server
+//! exposes is declared once in a [`readings`] table.
 //!
 //! See docs/SERVER.md for the wire schema.
 
@@ -41,6 +42,7 @@ pub mod env;
 pub mod frame;
 pub mod load;
 pub mod protocol;
+pub mod readings;
 pub mod server;
 pub mod shell;
 

@@ -25,7 +25,7 @@ use capsule_bench::checkpoint::{run_checkpointed, CheckpointFailure, CheckpointO
 use capsule_bench::{BatchRunner, RunOptions};
 use capsule_core::output::Json;
 use capsule_core::stats::Histogram;
-use capsule_core::{Ewma, FlightKind, MetricsRegistry, SpanId, TraceRecorder};
+use capsule_core::{Ewma, FlightKind, SpanId, TraceRecorder};
 use capsule_sim::machine::WarmMachine;
 use capsule_sim::CancelToken;
 
@@ -34,8 +34,10 @@ use crate::protocol::{
     cache_key, error_response, fnv1a64, hex_encode, list_response, response_head, Request,
     RunRequest,
 };
+use crate::readings::{load, Part, Reading};
 use crate::shell::{
-    dump_response, echo_trace_id, lock, write_dump_file, Handle, Reply, RunTrace, Service, Shell,
+    self, dump_response, echo_trace_id, lock, metrics_response, push_stats, write_dump_file,
+    Handle, Reply, RunTrace, Service, Shell,
 };
 
 /// Server sizing knobs.
@@ -259,9 +261,15 @@ impl Service for Shared {
                 *guard = CancelToken::new();
                 response_head("cancel", true)
             }
-            Request::Stats => stats_response(shared),
+            Request::Stats => {
+                let mut r = response_head("stats", true);
+                push_stats(&**shared, &mut r);
+                r
+            }
             Request::List => list_response(),
-            Request::Metrics => metrics_response(shared),
+            // Nothing a scrape does moves a scraped reading, so two
+            // back-to-back scrapes of an idle server are byte-identical.
+            Request::Metrics => metrics_response(&**shared, |_, _| ()),
             Request::Health { key } => health_response(shared, key.as_deref()),
             Request::Dump => dump_response(&**shared),
             Request::Trace { trace_id } => shared.shell.trace_response(&trace_id, |tree| tree),
@@ -283,46 +291,38 @@ impl Service for Shared {
         lock(&self.cancel).cancel();
     }
 
-    /// The load gauges as embedded in the `capsule-dump/1` artifact.
-    fn gauges(&self) -> Json {
-        let mut g = Json::object();
-        g.push("workers", self.opts.workers)
-            .push("queue_capacity", self.opts.queue)
-            .push("jobs_in_flight", self.counters.jobs_in_flight.load(Ordering::SeqCst))
-            .push("ewma_queue_wait_us", self.ewma_queue_wait.get())
-            .push("ewma_run_us", self.ewma_run.get())
-            .push("predicted_wait_us", predicted_wait_us(self))
-            .push("cache_entries", lock(&self.cache).len())
-            .push("checkpoint_entries", lock(&self.checkpoints).len())
-            .push("traces_stored", lock(&self.shell.traces).len());
-        g
-    }
-
-    fn counters(&self) -> Json {
-        let c = &self.counters;
-        let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let mut counters = Json::object();
-        counters
-            .push("connections", get(&self.shell.connections))
-            .push("requests", get(&self.shell.requests))
-            .push("bad_requests", get(&self.shell.bad_requests))
-            .push("jobs_accepted", get(&c.jobs_accepted))
-            .push("jobs_rejected", get(&c.jobs_rejected))
-            .push("jobs_completed", get(&c.jobs_completed))
-            .push("jobs_failed", get(&c.jobs_failed))
-            .push("jobs_cancelled", get(&c.jobs_cancelled))
-            .push("cache_hits", get(&c.cache_hits))
-            .push("cache_misses", get(&c.cache_misses))
-            .push("cancel_requests", get(&c.cancel_requests))
-            .push("preempt_requests", get(&c.preempt_requests))
-            .push("jobs_preempted", get(&c.jobs_preempted))
-            .push("jobs_resumed", get(&c.jobs_resumed))
-            .push("checkpoints_stored", get(&c.checkpoints_stored))
-            .push("checkpoint_fetches", get(&c.checkpoint_fetches))
-            .push("checkpoint_puts", get(&c.checkpoint_puts))
-            .push("snapshot_bytes", get(&c.snapshot_bytes));
-        counters
-    }
+    const READINGS: &'static [Reading<Shared>] = &[
+        Reading::gauge("workers", |s| s.opts.workers as u64),
+        Reading::gauge("queue_capacity", |s| s.opts.queue as u64),
+        Reading::gauge("cache_capacity", |s| s.opts.cache as u64),
+        Reading::gauge("cache_entries", |s| lock(&s.cache).len() as u64),
+        Reading::gauge("checkpoint_cycles", |s| s.opts.checkpoint_cycles),
+        Reading::gauge("checkpoint_capacity", |s| s.opts.checkpoints as u64),
+        Reading::gauge("checkpoint_entries", |s| lock(&s.checkpoints).len() as u64),
+        Reading::gauge("jobs_in_flight", |s| load(&s.counters.jobs_in_flight)),
+        Reading::gauge("ewma_queue_wait_us", |s| s.ewma_queue_wait.get()),
+        Reading::gauge("ewma_run_us", |s| s.ewma_run.get()),
+        Reading::gauge("predicted_wait_us", predicted_wait_us),
+        Reading::counter("jobs_accepted", |s| load(&s.counters.jobs_accepted)),
+        Reading::counter("jobs_rejected", |s| load(&s.counters.jobs_rejected)),
+        Reading::counter("jobs_completed", |s| load(&s.counters.jobs_completed)),
+        Reading::counter("jobs_failed", |s| load(&s.counters.jobs_failed)),
+        Reading::counter("jobs_cancelled", |s| load(&s.counters.jobs_cancelled)),
+        Reading::counter("cache_hits", |s| load(&s.counters.cache_hits)),
+        Reading::counter("cache_misses", |s| load(&s.counters.cache_misses)),
+        Reading::counter("cache_evictions", |s| lock(&s.cache).evictions()),
+        Reading::counter("cancel_requests", |s| load(&s.counters.cancel_requests)),
+        Reading::counter("preempt_requests", |s| load(&s.counters.preempt_requests)),
+        Reading::counter("jobs_preempted", |s| load(&s.counters.jobs_preempted)),
+        Reading::counter("jobs_resumed", |s| load(&s.counters.jobs_resumed)),
+        Reading::counter("checkpoints_stored", |s| load(&s.counters.checkpoints_stored)),
+        Reading::counter("checkpoint_fetches", |s| load(&s.counters.checkpoint_fetches)),
+        Reading::counter("checkpoint_puts", |s| load(&s.counters.checkpoint_puts)),
+        Reading::counter("checkpoint_evictions", |s| lock(&s.checkpoints).evictions()),
+        Reading::counter("snapshot_bytes", |s| load(&s.counters.snapshot_bytes)),
+        Reading::histogram("queue_wait_us", |s| lock(&s.latencies).queue_wait_us.clone()),
+        Reading::histogram("run_us", |s| lock(&s.latencies).run_us.clone()),
+    ];
 }
 
 /// The `preempt` op: trips the preempt flag of an admitted job so it
@@ -830,36 +830,8 @@ fn predicted_wait_us(shared: &Shared) -> u64 {
         .saturating_add(backlog.saturating_mul(shared.ewma_run.get()) / workers)
 }
 
-fn stats_response(shared: &Shared) -> Json {
-    let c = &shared.counters;
-    let counters = Service::counters(shared);
-    let (queue_wait, run) = {
-        let lat = lock(&shared.latencies);
-        (lat.queue_wait_us.to_json(), lat.run_us.to_json())
-    };
-    let mut r = response_head("stats", true);
-    r.push("workers", shared.opts.workers)
-        .push("queue_capacity", shared.opts.queue)
-        .push("cache_capacity", shared.opts.cache)
-        .push("cache_entries", lock(&shared.cache).len())
-        .push("checkpoint_cycles", shared.opts.checkpoint_cycles)
-        .push("checkpoint_capacity", shared.opts.checkpoints)
-        .push("checkpoint_entries", lock(&shared.checkpoints).len())
-        .push("jobs_in_flight", c.jobs_in_flight.load(Ordering::SeqCst))
-        .push("traces_stored", lock(&shared.shell.traces).len())
-        .push("flight_capacity", shared.shell.flight.capacity())
-        .push("flight_recorded", shared.shell.flight.recorded())
-        .push("ewma_queue_wait_us", shared.ewma_queue_wait.get())
-        .push("ewma_run_us", shared.ewma_run.get())
-        .push("predicted_wait_us", predicted_wait_us(shared))
-        .push("counters", counters)
-        .push("queue_wait_us", queue_wait)
-        .push("run_us", run);
-    r
-}
-
-/// The `health` op: the server's live load gauges in one small object,
-/// cheap enough to poll tightly. The optional `key` is echoed back so a
+/// The `health` op: the server's gauges in one small object, cheap
+/// enough to poll tightly. The optional `key` is echoed back so a
 /// fleet-side caller can correlate fan-out probes; a standalone server
 /// has no placement preference to derive from it.
 fn health_response(shared: &Shared, key: Option<&str>) -> Json {
@@ -867,14 +839,7 @@ fn health_response(shared: &Shared, key: Option<&str>) -> Json {
     if let Some(k) = key {
         r.push("key", k);
     }
-    r.push("workers", shared.opts.workers)
-        .push("queue_capacity", shared.opts.queue)
-        .push("jobs_in_flight", shared.counters.jobs_in_flight.load(Ordering::SeqCst))
-        .push("ewma_queue_wait_us", shared.ewma_queue_wait.get())
-        .push("ewma_run_us", shared.ewma_run.get())
-        .push("predicted_wait_us", predicted_wait_us(shared))
-        .push("traces_stored", lock(&shared.shell.traces).len())
-        .push("flight_recorded", shared.shell.flight.recorded());
+    shell::render(&mut r, Part::Gauges, shared);
     r
 }
 
@@ -898,8 +863,7 @@ fn start_watchdog(shared: &Arc<Shared>) {
 /// forward progress.
 fn progress_mark(shared: &Shared) -> u64 {
     let c = &shared.counters;
-    let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
-    get(&c.jobs_completed) + get(&c.jobs_failed) + get(&c.jobs_cancelled) + get(&c.jobs_preempted)
+    [&c.jobs_completed, &c.jobs_failed, &c.jobs_cancelled, &c.jobs_preempted].map(load).iter().sum()
 }
 
 fn watchdog_loop(shared: &Shared, interval_ms: u64, path: &str) {
@@ -924,57 +888,6 @@ fn watchdog_loop(shared: &Shared, interval_ms: u64, path: &str) {
             stalled_since = None;
         }
     }
-}
-
-/// The deterministic metrics exposition (docs/OBSERVABILITY.md): a
-/// Prometheus-style text body in a `metrics` response. Scrape-perturbed
-/// counters (`connections`, `requests` — each scrape is itself a
-/// connection and a request) are deliberately excluded so that two
-/// back-to-back scrapes of an idle server are byte-identical.
-fn metrics_response(shared: &Shared) -> Json {
-    let c = &shared.counters;
-    let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
-    let mut m = MetricsRegistry::new();
-    m.set("capsule_serve_bad_requests_total", &[], get(&shared.shell.bad_requests));
-    m.set("capsule_serve_jobs_accepted_total", &[], get(&c.jobs_accepted));
-    m.set("capsule_serve_jobs_rejected_total", &[], get(&c.jobs_rejected));
-    m.set("capsule_serve_jobs_completed_total", &[], get(&c.jobs_completed));
-    m.set("capsule_serve_jobs_failed_total", &[], get(&c.jobs_failed));
-    m.set("capsule_serve_jobs_cancelled_total", &[], get(&c.jobs_cancelled));
-    m.set("capsule_serve_cache_hits_total", &[], get(&c.cache_hits));
-    m.set("capsule_serve_cache_misses_total", &[], get(&c.cache_misses));
-    m.set("capsule_serve_cancel_requests_total", &[], get(&c.cancel_requests));
-    m.set("capsule_serve_preempt_requests_total", &[], get(&c.preempt_requests));
-    m.set("capsule_serve_jobs_preempted_total", &[], get(&c.jobs_preempted));
-    m.set("capsule_serve_jobs_resumed_total", &[], get(&c.jobs_resumed));
-    m.set("capsule_serve_checkpoints_stored_total", &[], get(&c.checkpoints_stored));
-    m.set("capsule_serve_checkpoint_fetches_total", &[], get(&c.checkpoint_fetches));
-    m.set("capsule_serve_checkpoint_puts_total", &[], get(&c.checkpoint_puts));
-    m.set("capsule_serve_snapshot_bytes_total", &[], get(&c.snapshot_bytes));
-    m.set("capsule_serve_jobs_in_flight", &[], c.jobs_in_flight.load(Ordering::SeqCst));
-    m.set("capsule_serve_workers", &[], shared.opts.workers as u64);
-    m.set("capsule_serve_queue_capacity", &[], shared.opts.queue as u64);
-    m.set("capsule_serve_cache_capacity", &[], shared.opts.cache as u64);
-    m.set("capsule_serve_cache_entries", &[], lock(&shared.cache).len() as u64);
-    m.set("capsule_serve_checkpoint_cycles", &[], shared.opts.checkpoint_cycles);
-    m.set("capsule_serve_checkpoint_capacity", &[], shared.opts.checkpoints as u64);
-    m.set("capsule_serve_checkpoint_entries", &[], lock(&shared.checkpoints).len() as u64);
-    m.set("capsule_serve_traces_stored", &[], lock(&shared.shell.traces).len() as u64);
-    m.set("capsule_serve_cache_evictions_total", &[], lock(&shared.cache).evictions());
-    m.set("capsule_serve_checkpoint_evictions_total", &[], lock(&shared.checkpoints).evictions());
-    m.set("capsule_serve_flight_capacity", &[], shared.shell.flight.capacity() as u64);
-    m.set("capsule_serve_flight_recorded_total", &[], shared.shell.flight.recorded());
-    m.set("capsule_serve_ewma_queue_wait_us", &[], shared.ewma_queue_wait.get());
-    m.set("capsule_serve_ewma_run_us", &[], shared.ewma_run.get());
-    m.set("capsule_serve_predicted_wait_us", &[], predicted_wait_us(shared));
-    {
-        let lat = lock(&shared.latencies);
-        m.histogram("capsule_serve_queue_wait_us", &[], &lat.queue_wait_us);
-        m.histogram("capsule_serve_run_us", &[], &lat.run_us);
-    }
-    let mut r = response_head("metrics", true);
-    r.push("exposition", m.render());
-    r
 }
 
 #[cfg(test)]

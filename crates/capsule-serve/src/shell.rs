@@ -8,19 +8,24 @@
 //! the [`Reply`] route of its connection, so a malformed line or frame
 //! gets the same bytes from a single server and from a fleet
 //! (docs/SERVER.md, "Negotiation" and "Framing errors").
+//! The shell also renders every view of the readings tables, its own
+//! (`READINGS`) and the service's ([`Service::READINGS`]).
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 use capsule_core::output::Json;
-use capsule_core::{FlightRecorder, SpanId, TailPolicy, TraceRecorder, TraceStore};
+use capsule_core::{
+    FlightRecorder, MetricsRegistry, SpanId, TailPolicy, TraceRecorder, TraceStore,
+};
 
 use crate::frame::{self, Frame, FrameError};
 use crate::protocol::{error_response, response_head, Request, RunRequest};
+use crate::readings::{self, load, Part, Reading};
 
 /// Locks `m`, recovering the guard of a poisoned lock: one panicking
 /// thread must not take the whole server down with it.
@@ -63,6 +68,10 @@ pub trait Service: Send + Sync + Sized + 'static {
 
     /// The shell state embedded in the service.
     fn shell(&self) -> &Shell;
+    /// Every reading the service keeps beyond the shell's own
+    /// (`connections`, `requests`, `bad_requests`, `traces_stored`,
+    /// `flight_capacity`, `flight_recorded`).
+    const READINGS: &'static [Reading<Self>];
     /// Renders the answer to one validated request, or returns `None`
     /// and answers later through `reply`. The same request must render
     /// the same bytes over both protocols. After answering a `shutdown`
@@ -71,10 +80,57 @@ pub trait Service: Send + Sync + Sized + 'static {
     /// The service's own shutdown step (closing the job queue, waking
     /// slot waiters), run once before open connections are severed.
     fn close(&self);
-    /// The load gauges embedded in a dump.
-    fn gauges(&self) -> Json;
-    /// The counters embedded in a dump.
-    fn counters(&self) -> Json;
+    /// Fields a dump carries beyond the readings (the fleet's
+    /// per-backend rows); none by default.
+    fn extend_dump(&self, _dump: &mut Json) {}
+}
+
+/// The shell's own readings, shared by every server.
+const READINGS: &[Reading<Shell>] = &[
+    Reading::counter("connections", |s: &Shell| load(&s.connections)).unscraped(),
+    Reading::counter("requests", |s: &Shell| load(&s.requests)).unscraped(),
+    Reading::counter("bad_requests", |s| load(&s.bad_requests)),
+    Reading::gauge("traces_stored", |s| lock(&s.traces).len() as u64),
+    Reading::gauge("flight_capacity", |s| s.flight.capacity() as u64),
+    Reading::total("flight_recorded", |s| s.flight.recorded()),
+];
+
+/// Pushes the shell's and then the service's readings of `part` onto
+/// `out`; `Part::Gauges` is `health`'s body.
+pub fn render<S: Service>(out: &mut Json, part: Part, service: &S) {
+    readings::render(out, part, READINGS, service.shell());
+    readings::render(out, part, S::READINGS, service);
+}
+
+fn rendered<S: Service>(part: Part, service: &S) -> Json {
+    let mut j = Json::object();
+    render(&mut j, part, service);
+    j
+}
+
+/// Pushes the `stats` body onto `out`: the gauges, a `counters` object,
+/// the histograms.
+pub fn push_stats<S: Service>(service: &S, out: &mut Json) {
+    render(out, Part::Gauges, service);
+    out.push("counters", rendered(Part::Counters, service));
+    render(out, Part::Histograms, service);
+}
+
+/// The `metrics` op: every scraped reading as `capsule_<SOURCE>_<key>`
+/// (`_total` for counts), plus what `extend` records under the same
+/// prefix.
+pub fn metrics_response<S: Service>(
+    service: &S,
+    extend: impl FnOnce(&mut MetricsRegistry, &str),
+) -> Json {
+    let prefix = format!("capsule_{}", S::SOURCE);
+    let mut m = MetricsRegistry::new();
+    readings::scrape(&mut m, &prefix, &[], READINGS, service.shell());
+    readings::scrape(&mut m, &prefix, &[], S::READINGS, service);
+    extend(&mut m, &prefix);
+    let mut r = response_head("metrics", true);
+    r.push("exposition", m.render());
+    r
 }
 
 /// Connection state common to every server.
@@ -128,6 +184,13 @@ impl Shell {
     /// False once shutdown has started.
     pub fn running(&self) -> bool {
         self.running.load(Ordering::SeqCst)
+    }
+
+    /// Counts a request answered `bad-request` or `bad-frame` before it
+    /// reached the service.
+    fn count_fault(&self) {
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        self.bad_requests.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Files a finished run's tree, with `extend` applied, when the client
@@ -303,17 +366,31 @@ fn handle_connection<S: Service>(service: &Arc<S>, stream: TcpStream) {
         return serve_v2(service, stream);
     }
     let Ok(read_half) = stream.try_clone() else { return };
+    let mut reader = BufReader::new(read_half);
     let mut writer = stream;
-    for line in BufReader::new(read_half).lines() {
-        let Ok(line) = line else { break };
+    let mut buf = Vec::new();
+    loop {
+        match read_line(&mut reader, &mut buf, frame::MAX_FRAME_LEN as usize) {
+            Ok(true) => {}
+            // The rest of the line was never read, so the stream cannot
+            // be resynced: answer, then close.
+            Err(e) if e.kind() == ErrorKind::InvalidData => {
+                shell.count_fault();
+                let detail = format!("request line exceeds the {}-byte cap", frame::MAX_FRAME_LEN);
+                let r = error_response("?", "bad-request", Some(&detail)).to_string_compact();
+                let _ = writer.write_all(format!("{r}\n").as_bytes());
+                break;
+            }
+            _ => break,
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else { break };
         if line.trim().is_empty() {
             continue;
         }
         shell.requests.fetch_add(1, Ordering::Relaxed);
-        let (response, shutdown) = handle_line(service, &line);
-        let mut bytes = response.into_bytes();
-        bytes.push(b'\n');
-        if writer.write_all(&bytes).and_then(|()| writer.flush()).is_err() {
+        let (mut response, shutdown) = handle_line(service, line);
+        response.push('\n');
+        if writer.write_all(response.as_bytes()).and_then(|()| writer.flush()).is_err() {
             break;
         }
         if shutdown {
@@ -323,6 +400,26 @@ fn handle_connection<S: Service>(service: &Arc<S>, stream: TcpStream) {
     }
 }
 
+/// Reads one v1 request line into `buf`, its `\n` (and a `\r` before
+/// it) removed; `Ok(false)` at the end of the stream. However long a
+/// peer keeps a line open, at most `cap + 1` bytes are buffered: a
+/// longer line is an `InvalidData` error, its rest unread.
+fn read_line(r: &mut impl BufRead, buf: &mut Vec<u8>, cap: usize) -> std::io::Result<bool> {
+    buf.clear();
+    if r.take(cap as u64 + 1).read_until(b'\n', buf)? == 0 {
+        return Ok(false);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > cap {
+        return Err(ErrorKind::InvalidData.into());
+    }
+    Ok(true)
+}
+
 /// Serves one v2 connection: validates the client preamble, then reads
 /// frames while a writer thread sends the server preamble and every
 /// answer in completion order. A preamble mismatch is answered with the
@@ -330,15 +427,21 @@ fn handle_connection<S: Service>(service: &Arc<S>, stream: TcpStream) {
 /// closes.
 fn serve_v2<S: Service>(service: &Arc<S>, stream: TcpStream) {
     let Ok(mut reader) = stream.try_clone() else { return };
-    let fault = match frame::read_preamble(&mut reader) {
+    let preamble = match frame::read_preamble(&mut reader) {
         Ok(()) => None,
         Err(e @ (FrameError::BadMagic(_) | FrameError::BadVersion(_))) => Some(e),
         Err(_) => return,
     };
     let (tx, rx) = mpsc::channel::<Frame>();
     let writer = std::thread::spawn(move || write_frames(stream, &rx));
-    match fault {
-        Some(e) => send_bad_frame(&tx, 0, &e.to_string()),
+    // A fault below the frame level is a request answered `bad-frame`,
+    // counted like a malformed frame.
+    let fault = |e: FrameError| {
+        service.shell().count_fault();
+        send_bad_frame(&tx, 0, &e.to_string());
+    };
+    match preamble {
+        Some(e) => fault(e),
         None => loop {
             match frame::read_frame(&mut reader) {
                 Ok(f) => {
@@ -348,11 +451,11 @@ fn serve_v2<S: Service>(service: &Arc<S>, stream: TcpStream) {
                 }
                 // The body was never read: the stream cannot be resynced.
                 Err(e @ FrameError::Oversized(_)) => {
-                    send_bad_frame(&tx, 0, &e.to_string());
+                    fault(e);
                     break;
                 }
                 // The declared bytes were consumed: still in sync.
-                Err(e @ FrameError::Truncated(_)) => send_bad_frame(&tx, 0, &e.to_string()),
+                Err(e @ FrameError::Truncated(_)) => fault(e),
                 Err(_) => break,
             }
         },
@@ -458,7 +561,8 @@ pub fn echo_trace_id(r: &mut Json, run: &RunRequest) {
 }
 
 /// The versioned post-mortem artifact (`capsule-dump/1`): the flight
-/// ring, every retained trace, the service's gauges and its counters.
+/// ring, every retained trace, the gauges and the counters as `stats`
+/// renders them, and whatever [`Service::extend_dump`] adds.
 fn dump_json<S: Service>(service: &S) -> Json {
     let shell = service.shell();
     let mut d = Json::object();
@@ -472,8 +576,9 @@ fn dump_json<S: Service>(service: &S) -> Json {
         traces.push(t);
     }
     d.push("traces", Json::Array(traces))
-        .push("gauges", service.gauges())
-        .push("counters", service.counters());
+        .push("gauges", rendered(Part::Gauges, service))
+        .push("counters", rendered(Part::Counters, service));
+    service.extend_dump(&mut d);
     d
 }
 
@@ -513,4 +618,32 @@ fn install_dump_hooks<S: Service>(service: &Arc<S>) {
         write_dump_file(&*service, &path, "panic");
         previous(info);
     }));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every line [`read_line`] yields from `input` under a cap of 6
+    /// bytes, then the error that stopped it, if any.
+    fn lines(input: &[u8]) -> Vec<String> {
+        let (mut r, mut buf, mut out) =
+            (BufReader::with_capacity(4, input), Vec::new(), Vec::new());
+        loop {
+            let line = read_line(&mut r, &mut buf, 6);
+            assert!(buf.len() <= 7, "buffered {} bytes", buf.len());
+            match line {
+                Ok(true) => out.push(String::from_utf8_lossy(&buf).into_owned()),
+                Ok(false) => return out,
+                Err(e) => return [out, vec![format!("{:?}", e.kind())]].concat(),
+            }
+        }
+    }
+
+    #[test]
+    fn read_line_stops_buffering_one_byte_past_the_cap() {
+        assert_eq!(lines(b"ab\r\n\ncdefgh\nxy"), ["ab", "", "cdefgh", "xy"]);
+        assert_eq!(lines(b"ok\nabcdefghij\nmore\n"), ["ok", "InvalidData"]);
+        assert_eq!(lines(b"abcdefghij"), ["InvalidData"]);
+    }
 }

@@ -308,3 +308,41 @@ fn mismatched_tag_and_unknown_tag_are_bad_frames() {
 
     server.shutdown();
 }
+
+/// The `bad_requests` counter read over v1.
+fn bad_requests(server: &Server) -> Option<i64> {
+    let stats = Json::parse(&v1_request_raw(server, r#"{"op":"stats"}"#)).expect("stats");
+    stats.get("counters").and_then(|c| c.get("bad_requests")).and_then(Json::as_i64)
+}
+
+/// Faults below the frame level are requests answered `bad-frame` and
+/// count as such, like a malformed frame does.
+#[test]
+fn frame_level_faults_count_as_bad_requests() {
+    let server = start(1, 2, 2);
+
+    // A length prefix shorter than the 9-byte header.
+    let mut stream = v2_connect(&server);
+    stream.write_all(&[4u32.to_le_bytes(), [0xAA; 4]].concat()).expect("send short frame");
+    let reply = frame::read_frame(&mut stream).expect("bad-frame answer");
+    assert_eq!(reply.tag, frame::tag::ERROR);
+    drop(stream);
+    assert_eq!(bad_requests(&server), Some(1));
+
+    // A prefix over the cap, which closes the connection.
+    let mut stream = v2_connect(&server);
+    stream.write_all(&(frame::MAX_FRAME_LEN + 1).to_le_bytes()).expect("send oversized len");
+    assert!(matches!(frame::read_frame(&mut stream), Ok(f) if f.tag == frame::tag::ERROR));
+    assert!(matches!(frame::read_frame(&mut stream), Err(FrameError::Eof)));
+    assert_eq!(bad_requests(&server), Some(2));
+
+    // A preamble of the wrong version.
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream.write_all(&[&frame::MAGIC[..], &[7]].concat()).expect("send bogus preamble");
+    frame::read_preamble(&mut stream).expect("server preamble");
+    assert!(matches!(frame::read_frame(&mut stream), Ok(f) if f.tag == frame::tag::ERROR));
+    assert!(matches!(frame::read_frame(&mut stream), Err(FrameError::Eof)));
+    assert_eq!(bad_requests(&server), Some(3));
+
+    server.shutdown();
+}
