@@ -1,13 +1,14 @@
-//! Checkpointed batch execution: periodic machine snapshots, cooperative
-//! preemption, and resume-from-blob.
+//! Checkpointed batch execution: park-on-demand machine snapshots and
+//! resume-from-blob.
 //!
 //! A checkpointed job runs its scenarios **serially** on one warmed
 //! machine so the in-flight scenario can be snapshotted at any cycle
-//! boundary. Every `interval` simulated cycles the runner emits a
-//! checkpoint blob — already-finished outcomes plus a
-//! [`Machine::snapshot`](capsule_sim::Machine::snapshot) of the scenario
-//! in progress — and checks a shared preempt flag. A preempted job
-//! returns [`CheckpointOutcome::Preempted`] with the blob; feeding that
+//! boundary. Every `interval` simulated cycles, and before each
+//! scenario, the runner asks its caller whether the job should park.
+//! Only a job that parks pays for a
+//! [`Machine::snapshot`](capsule_sim::Machine::snapshot): it returns
+//! [`CheckpointOutcome::Preempted`] with a blob of the already-finished
+//! outcomes plus the snapshot of the scenario in progress. Feeding that
 //! blob back via `resume` continues the batch cycle-for-cycle as if it
 //! had never been interrupted, so the final [`BatchReport`] is
 //! byte-identical to an uninterrupted run (pinned by the
@@ -19,8 +20,6 @@
 //! a rejected blob surfaces as [`CheckpointFailure::Blob`], never a
 //! panic. The embedded machine snapshot carries its own config/program
 //! hash, so a blob can only resume the job it was taken from.
-
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use capsule_core::codec::{CodecError, Reader, Writer};
 use capsule_sim::cancel::CancelToken;
@@ -43,8 +42,8 @@ pub enum CheckpointOutcome {
     /// uninterrupted [`BatchRunner`](crate::BatchRunner) run of the same
     /// batch on one worker.
     Done(BatchReport),
-    /// The preempt flag was observed at a checkpoint boundary; the blob
-    /// resumes the batch via [`run_checkpointed`]'s `resume`.
+    /// `should_park` answered yes at a boundary; the blob resumes the
+    /// batch via [`run_checkpointed`]'s `resume`.
     Preempted(Vec<u8>),
 }
 
@@ -143,15 +142,15 @@ fn batch_err(scenarios: &[Scenario], index: usize, failure: RunFailure) -> Check
     }))
 }
 
-/// Runs `scenarios` serially with periodic checkpoints.
+/// Runs `scenarios` serially, parking on demand.
 ///
 /// Every `interval` cycles of the in-flight scenario (0 disables
-/// mid-run checkpoints) the runner pauses at a cycle boundary, builds a
-/// checkpoint blob, hands it to `on_checkpoint`, and — if `preempt` is
-/// set — parks the batch as [`CheckpointOutcome::Preempted`] instead of
-/// continuing. The preempt flag is also honoured between scenarios.
-/// Pass a previous blob as `resume` to continue a parked batch; the
-/// final report is byte-identical to an uninterrupted run.
+/// mid-run boundaries) and before each scenario starts, the runner
+/// polls `should_park`. When it answers yes, the batch stops at that
+/// cycle boundary and returns [`CheckpointOutcome::Preempted`] with a
+/// blob of its state; no snapshot is taken otherwise. Pass a previous
+/// blob as `resume` to continue a parked batch; the final report is
+/// byte-identical to an uninterrupted run.
 ///
 /// # Errors
 ///
@@ -167,9 +166,8 @@ pub fn run_checkpointed(
     opts: RunOptions,
     warm: &mut WarmMachine,
     interval: u64,
-    preempt: &AtomicBool,
     resume: Option<&[u8]>,
-    mut on_checkpoint: impl FnMut(&[u8]),
+    mut should_park: impl FnMut() -> bool,
 ) -> Result<CheckpointOutcome, CheckpointFailure> {
     let title = title.into();
     let mut outcomes: Vec<SimOutcome> = Vec::new();
@@ -182,7 +180,7 @@ pub fn run_checkpointed(
 
     while outcomes.len() < scenarios.len() {
         let index = outcomes.len();
-        if preempt.load(Ordering::Relaxed) {
+        if should_park() {
             // Re-park without losing a carried-over in-flight snapshot.
             return Ok(CheckpointOutcome::Preempted(encode_blob(
                 &outcomes,
@@ -218,14 +216,12 @@ pub fn run_checkpointed(
             };
             match m.run_until(budget, next_pause) {
                 Ok(Some(outcome)) => break outcome,
-                Ok(None) => {
+                Ok(None) if should_park() => {
                     let snap = m.snapshot();
                     let blob = encode_blob(&outcomes, scenarios.len(), Some(&snap));
-                    if preempt.load(Ordering::Relaxed) {
-                        return Ok(CheckpointOutcome::Preempted(blob));
-                    }
-                    on_checkpoint(&blob);
+                    return Ok(CheckpointOutcome::Preempted(blob));
                 }
+                Ok(None) => {}
                 Err(e) => return Err(batch_err(&scenarios, index, RunFailure::Sim(e))),
             }
         };

@@ -4,9 +4,10 @@
 //!
 //! Three contracts are pinned here:
 //!
-//! - **Round-trip determinism** for *every* catalog smoke entry: running
-//!   with periodic checkpoints produces the exact `SimOutcome` list and
-//!   report bytes of a plain `BatchRunner` run.
+//! - **Round-trip determinism** for *every* catalog smoke entry: parking
+//!   the job mid-scenario (so the blob carries a machine snapshot) and
+//!   resuming it produces the exact `SimOutcome` list and report bytes of
+//!   a plain `BatchRunner` run.
 //! - **Preemption transparency** (seeded, property-style): parking a job
 //!   at random checkpoint boundaries — including migrating the blob to a
 //!   different warmed machine, as the fleet does across backends — never
@@ -15,13 +16,13 @@
 //!   no residue for the next fresh job (the `reset_equivalence` contract,
 //!   extended to restores).
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use capsule_bench::catalog::{self, Scale};
 use capsule_bench::checkpoint::{run_checkpointed, CheckpointFailure, CheckpointOutcome};
 use capsule_bench::{BatchReport, BatchRunner, RunOptions, BUDGET};
+use capsule_core::codec::Reader;
 use capsule_core::rng::{Rng, Xoshiro256StarStar};
 use capsule_sim::machine::{Machine, WarmMachine};
+use capsule_sim::SimOutcome;
 
 const OPTS: RunOptions = RunOptions { profile: true, trace: Some(4096) };
 
@@ -37,28 +38,63 @@ fn outcomes_debug(report: &BatchReport) -> String {
     format!("{outcomes:#?}")
 }
 
+/// A `should_park` that answers yes at exactly its `n`th poll.
+fn park_at_poll(n: u32) -> impl FnMut() -> bool {
+    let mut polls = 0;
+    move || {
+        polls += 1;
+        polls == n
+    }
+}
+
+/// True when a job blob carries an in-flight machine snapshot: walks the
+/// documented layout (header, finished outcomes, `has_snapshot` tag) and
+/// checks that the embedded bytes open with the `CAPSNAP1` magic.
+fn carries_snapshot(blob: &[u8]) -> bool {
+    let mut r = Reader::new(blob);
+    r.u64().expect("magic");
+    r.u32().expect("version");
+    r.usize().expect("scenario count");
+    for _ in 0..r.usize().expect("finished count") {
+        SimOutcome::decode(&mut r).expect("finished outcome");
+    }
+    r.u8().expect("snapshot tag") == 1
+        && r.bytes().expect("snapshot").starts_with(&capsule_sim::snapshot::MAGIC.to_le_bytes())
+}
+
 #[test]
 fn every_smoke_entry_roundtrips_through_checkpoints() {
     let mut warm = WarmMachine::new();
     for name in catalog::names() {
         let entry = catalog::find(name).expect("catalog entry exists");
         let baseline = uninterrupted(name);
-        let mut checkpoints = 0usize;
-        let outcome = run_checkpointed(
-            entry.title,
-            entry.scenarios(Scale::Smoke),
-            BUDGET,
-            None,
-            OPTS,
-            &mut warm,
-            2_000,
-            &AtomicBool::new(false),
-            None,
-            |_| checkpoints += 1,
-        )
-        .expect("checkpointed batch succeeds");
-        let CheckpointOutcome::Done(report) = outcome else {
-            panic!("{name}: preempted without a preempt request");
+        // Park at the second poll of each leg (the first comes before the
+        // leg's scenario starts) until a park lands mid-scenario, then run
+        // the job out from that blob.
+        let mut blob: Option<Vec<u8>> = None;
+        let mut parked_mid_run = false;
+        let report = loop {
+            let mut park = park_at_poll(2);
+            let outcome = run_checkpointed(
+                entry.title,
+                entry.scenarios(Scale::Smoke),
+                BUDGET,
+                None,
+                OPTS,
+                &mut warm,
+                2_000,
+                blob.as_deref(),
+                || !parked_mid_run && park(),
+            )
+            .expect("checkpointed batch succeeds");
+            match outcome {
+                CheckpointOutcome::Done(report) => break report,
+                CheckpointOutcome::Preempted(b) => {
+                    assert!(!parked_mid_run, "{name}: preempted without a preempt request");
+                    parked_mid_run = carries_snapshot(&b);
+                    blob = Some(b);
+                }
+            }
         };
         assert_eq!(
             outcomes_debug(&report),
@@ -70,7 +106,7 @@ fn every_smoke_entry_roundtrips_through_checkpoints() {
             baseline.to_json().to_string_pretty(),
             "{name}: checkpointed report bytes diverged"
         );
-        assert!(checkpoints > 0, "{name}: no checkpoint was ever taken");
+        assert!(parked_mid_run, "{name}: no park ever landed mid-scenario");
     }
 }
 
@@ -93,7 +129,6 @@ fn random_preemption_points_never_change_the_report() {
             // cycle boundaries each time the job resumes.
             let interval = 500 + rng.u64_below(3_000);
             let after = rng.u64_below(4);
-            let preempt = AtomicBool::new(false);
             let mut seen = 0u64;
             let result = run_checkpointed(
                 entry.title,
@@ -103,13 +138,10 @@ fn random_preemption_points_never_change_the_report() {
                 OPTS,
                 &mut warm,
                 interval,
-                &preempt,
                 blob.as_deref(),
-                |_| {
+                || {
                     seen += 1;
-                    if seen > after {
-                        preempt.store(true, Ordering::Relaxed);
-                    }
+                    seen > after
                 },
             )
             .expect("checkpointed batch succeeds");
@@ -132,9 +164,8 @@ fn random_preemption_points_never_change_the_report() {
                             OPTS,
                             &mut warm,
                             interval,
-                            &AtomicBool::new(false),
                             blob.as_deref(),
-                            |_| {},
+                            || false,
                         )
                         .expect("final leg succeeds")
                         {
@@ -171,7 +202,6 @@ fn warm_machine_is_clean_after_a_restored_job() {
     let mut warm = WarmMachine::new();
 
     // Leg 1: run the job through a preemption + restore on `warm`.
-    let preempt = AtomicBool::new(false);
     let first = run_checkpointed(
         entry.title,
         entry.scenarios(Scale::Smoke),
@@ -180,14 +210,14 @@ fn warm_machine_is_clean_after_a_restored_job() {
         OPTS,
         &mut warm,
         300,
-        &preempt,
         None,
-        |_| preempt.store(true, Ordering::Relaxed),
+        park_at_poll(2),
     )
     .expect("leg 1 succeeds");
     let CheckpointOutcome::Preempted(blob) = first else {
         panic!("job must be preempted at the first checkpoint");
     };
+    assert!(carries_snapshot(&blob), "the first checkpoint must land mid-scenario");
     match run_checkpointed(
         entry.title,
         entry.scenarios(Scale::Smoke),
@@ -196,9 +226,8 @@ fn warm_machine_is_clean_after_a_restored_job() {
         OPTS,
         &mut warm,
         300,
-        &AtomicBool::new(false),
         Some(&blob),
-        |_| {},
+        || false,
     )
     .expect("leg 2 succeeds")
     {
@@ -232,7 +261,6 @@ fn warm_machine_is_clean_after_a_restored_job() {
 fn damaged_and_foreign_blobs_are_rejected() {
     let entry = catalog::find("table1_config").expect("catalog entry exists");
     let mut warm = WarmMachine::new();
-    let preempt = AtomicBool::new(false);
     let parked = run_checkpointed(
         entry.title,
         entry.scenarios(Scale::Smoke),
@@ -241,14 +269,14 @@ fn damaged_and_foreign_blobs_are_rejected() {
         RunOptions::default(),
         &mut warm,
         300,
-        &preempt,
         None,
-        |_| preempt.store(true, Ordering::Relaxed),
+        park_at_poll(2),
     )
     .expect("parking succeeds");
     let CheckpointOutcome::Preempted(blob) = parked else {
         panic!("job must be preempted at the first checkpoint");
     };
+    assert!(carries_snapshot(&blob), "the first checkpoint must land mid-scenario");
 
     let resume = |blob: &[u8], scenarios| {
         run_checkpointed(
@@ -259,9 +287,8 @@ fn damaged_and_foreign_blobs_are_rejected() {
             RunOptions::default(),
             &mut WarmMachine::new(),
             300,
-            &AtomicBool::new(false),
             Some(blob),
-            |_| {},
+            || false,
         )
     };
 

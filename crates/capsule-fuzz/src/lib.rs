@@ -7,7 +7,7 @@
 //! matrix of machine configs and execution modes ([`matrix`],
 //! [`harness`]), requiring bit-identical architectural results
 //! everywhere. Divergences are auto-minimized by delta debugging over
-//! the spec AST ([`minimize`]) and written as replayable JSON artifacts
+//! the spec AST ([`mod@minimize`]) and written as replayable JSON artifacts
 //! ([`artifact`]); minimized programs checked into `corpus/` are
 //! embedded and replayed as regression tests ([`corpus`]).
 //!

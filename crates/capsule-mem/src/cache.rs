@@ -101,6 +101,23 @@ pub struct Cache {
     port_used: usize,
 }
 
+/// An empty cache with no sets and no storage. It serves no access; it
+/// is what [`std::mem::take`] leaves behind when a cache's owner moves it
+/// out for reuse.
+impl Default for Cache {
+    fn default() -> Self {
+        Cache {
+            params: CacheParams { size_bytes: 0, line_bytes: 0, assoc: 0, latency: 0, ports: 0 },
+            geometry: Geometry::General { line_bytes: 0, num_sets: 0 },
+            sets: Vec::new(),
+            stats: CacheStats::default(),
+            use_clock: 0,
+            port_cycle: 0,
+            port_used: 0,
+        }
+    }
+}
+
 impl Cache {
     /// Builds a cache from its parameters.
     ///

@@ -29,7 +29,11 @@ pub struct Access {
 /// The full hierarchy. On a CMP configuration every core owns private
 /// L1 caches and all cores share the unified L2 (the paper's
 /// shared-memory CMP extrapolation in §5).
-#[derive(Debug, Clone)]
+///
+/// `Hierarchy::default()` is an empty stand-in with no cores and no
+/// storage, left behind when an owner moves its hierarchy out for
+/// reuse; it serves no access.
+#[derive(Debug, Clone, Default)]
 pub struct Hierarchy {
     l1i: Vec<Cache>,
     l1d: Vec<Cache>,
@@ -153,6 +157,18 @@ impl Hierarchy {
     /// Line size shared by all levels.
     pub fn line_bytes(&self) -> u64 {
         self.l1d[0].params().line_bytes as u64
+    }
+
+    /// True when this hierarchy has the shape `cfg` asks for: the same
+    /// core count, cache geometries and memory latency. After
+    /// [`Hierarchy::reset`] such a hierarchy is indistinguishable from
+    /// `Hierarchy::new_cmp(cfg, cfg.cores)`.
+    pub fn fits(&self, cfg: &MachineConfig) -> bool {
+        self.l1d.len() == cfg.cores
+            && self.l1i.iter().all(|c| *c.params() == cfg.l1i)
+            && self.l1d.iter().all(|c| *c.params() == cfg.l1d)
+            && *self.l2.params() == cfg.l2
+            && self.mem_latency == cfg.mem_latency
     }
 
     /// Drops contents and statistics of every level.

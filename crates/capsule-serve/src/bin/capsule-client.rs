@@ -1,13 +1,16 @@
 //! One-shot capsule-serve client.
 //!
 //! Usage:
-//!   capsule-client [--proto v1|v2] ADDR '{"op":"run","scenario":"table1_config"}'
-//!   capsule-client ADDR run SCENARIO [SCALE] [BUDGET]
-//!   capsule-client ADDR trace TRACE_ID
-//!   capsule-client ADDR preempt CACHE_KEY
-//!   capsule-client ADDR resume TOKEN
-//!   capsule-client ADDR health [KEY]
-//!   capsule-client ADDR stats|list|cancel|shutdown|metrics|dump
+//!
+//! ```text
+//! capsule-client [--proto v1|v2] ADDR '{"op":"run","scenario":"table1_config"}'
+//! capsule-client ADDR run SCENARIO [SCALE] [BUDGET]
+//! capsule-client ADDR trace TRACE_ID
+//! capsule-client ADDR preempt CACHE_KEY
+//! capsule-client ADDR resume TOKEN
+//! capsule-client ADDR health [KEY]
+//! capsule-client ADDR stats|list|cancel|shutdown|metrics|dump
+//! ```
 //!
 //! Sends one request and prints the server's response (pretty-printed
 //! unless `--compact`). Exits nonzero when the server reports

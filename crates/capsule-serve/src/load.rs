@@ -121,7 +121,7 @@ pub struct DriveOutcome {
 }
 
 impl DriveOutcome {
-    /// Latency percentile `p` in [0,100] over the recorded latencies,
+    /// Latency percentile `p` in \[0,100\] over the recorded latencies,
     /// or 0 when none were recorded.
     pub fn latency_percentile_us(&self, p: f64) -> u64 {
         if self.latencies_us.is_empty() {

@@ -52,11 +52,11 @@ pub struct ServerOptions {
     /// Retained span trees for the `trace` op (`CAPSULE_SERVE_TRACES`);
     /// 0 disables request tracing entirely.
     pub traces: usize,
-    /// Checkpoint interval in simulated cycles
-    /// (`CAPSULE_SERVE_CHECKPOINT_CYCLES`); 0 disables periodic
-    /// checkpoints, making jobs non-preemptible unless they arrive with
-    /// `resume_from` (checkpointed runs are cycle-identical to plain
-    /// ones, so this only trades snapshot overhead for preemptibility).
+    /// Park granularity in simulated cycles
+    /// (`CAPSULE_SERVE_CHECKPOINT_CYCLES`): a preempted job parks at the
+    /// next multiple of it. 0 makes jobs non-preemptible unless they
+    /// arrive with `resume_from`. A snapshot is taken only when a job
+    /// parks, and checkpointed runs are cycle-identical to plain ones.
     pub checkpoint_cycles: u64,
     /// Checkpoint-store capacity in parked jobs
     /// (`CAPSULE_SERVE_CHECKPOINTS`); 0 drops preempted jobs instead of
@@ -484,8 +484,8 @@ fn submit_run(shared: &Shared, run: RunRequest, reply: Reply) -> Option<String> 
         };
 
     // A job is preemptible iff it runs on the checkpointed path: either
-    // the server checkpoints periodically, or the job resumes a parked
-    // blob (and keeps checkpointing from there only if enabled).
+    // the server has a park granularity, or the job resumes a parked
+    // blob (and can park mid-scenario from there only if enabled).
     let preempt = if shared.opts.checkpoint_cycles > 0 || resume.is_some() {
         let flag = Arc::new(AtomicBool::new(false));
         lock(&shared.preempts).insert(key.clone(), Arc::clone(&flag));
@@ -614,17 +614,6 @@ fn unregister_preempt(shared: &Shared, job: &Job) {
     }
 }
 
-/// Parks `blob` in the checkpoint store under the job's token and bumps
-/// the snapshot counters.
-fn store_checkpoint(shared: &Shared, job: &Job, blob: &[u8]) {
-    shared.counters.checkpoints_stored.fetch_add(1, Ordering::Relaxed);
-    shared.counters.snapshot_bytes.fetch_add(blob.len() as u64, Ordering::Relaxed);
-    lock(&shared.checkpoints).put(
-        cache_key(&job.canonical),
-        Checkpoint { canonical: job.canonical.clone(), blob: blob.to_vec() },
-    );
-}
-
 /// Records a finished dispatch in both latency histograms and the EWMA
 /// gauges behind `predicted_wait_us`.
 fn record_latency(shared: &Shared, queue_wait_us: u64, run_us: u64) {
@@ -685,9 +674,8 @@ fn run_job(shared: &Shared, runner: &BatchRunner, warm: &mut WarmMachine, mut jo
                 opts,
                 warm,
                 shared.opts.checkpoint_cycles,
-                flag,
                 job.resume.as_deref(),
-                |blob| store_checkpoint(shared, &job, blob),
+                || flag.load(Ordering::Relaxed),
             );
             match checkpointed {
                 Ok(CheckpointOutcome::Done(report)) => {
@@ -696,7 +684,10 @@ fn run_job(shared: &Shared, runner: &BatchRunner, warm: &mut WarmMachine, mut jo
                     Ok(report)
                 }
                 Ok(CheckpointOutcome::Preempted(blob)) => {
-                    store_checkpoint(shared, &job, &blob);
+                    shared.counters.checkpoints_stored.fetch_add(1, Ordering::Relaxed);
+                    shared.counters.snapshot_bytes.fetch_add(blob.len() as u64, Ordering::Relaxed);
+                    let parked = Checkpoint { canonical: job.canonical.clone(), blob };
+                    lock(&shared.checkpoints).put(cache_key(&job.canonical), parked);
                     shared.counters.jobs_preempted.fetch_add(1, Ordering::Relaxed);
                     let run_us = started.elapsed().as_micros() as u64;
                     shared.counters.jobs_in_flight.fetch_sub(1, Ordering::SeqCst);

@@ -573,6 +573,75 @@ fn preempted_job_resumes_byte_identically_and_migrates_across_servers() {
     ckpt.shutdown();
 }
 
+/// Only parking stores a checkpoint. With room for one, a job that runs
+/// to completion on a checkpointing server must not evict a parked job's
+/// blob, and a job that is running but not parked has nothing to fetch.
+#[test]
+fn parked_work_is_not_evicted_by_running_jobs() {
+    let plain = start(1, 4, 8);
+    let baseline = request(&plain, SMOKE_RUN);
+    assert!(ok(&baseline), "baseline run failed: {}", baseline.to_string_compact());
+    let baseline_report = baseline.get("report").map(Json::to_string_compact).expect("report");
+
+    let ckpt = Server::start(
+        "127.0.0.1:0",
+        ServerOptions {
+            workers: 1,
+            queue: 4,
+            cache: 8,
+            traces: 16,
+            checkpoint_cycles: 1_000,
+            checkpoints: 1,
+            flight: 64,
+        },
+    )
+    .expect("bind ephemeral port");
+    let fetch =
+        |key: &str| request(&ckpt, &format!(r#"{{"op":"checkpoint-fetch","token":"{key}"}}"#));
+
+    // Park job A while it waits behind a long job on the single worker.
+    let mut long = request_deferred(&ckpt, LONG_RUN);
+    wait_for("long job to occupy the worker", || jobs_in_flight(&ckpt) == 1);
+    let mut queued = request_deferred(&ckpt, SMOKE_RUN);
+    wait_for("job A to be queued", || counter(&ckpt, "jobs_accepted") >= 2);
+    // The long job has crossed many park boundaries by now; running is
+    // not parked, so there is no checkpoint to fetch.
+    std::thread::sleep(Duration::from_millis(100));
+    assert_eq!(error_code(&fetch(&run_cache_key(LONG_RUN))), Some("unknown-checkpoint"));
+    let key = run_cache_key(SMOKE_RUN);
+    let preempt = request(&ckpt, &format!(r#"{{"op":"preempt","cache_key":"{key}"}}"#));
+    assert!(ok(&preempt), "preempt failed: {}", preempt.to_string_compact());
+    assert!(ok(&request(&ckpt, r#"{"op":"cancel"}"#)));
+    assert_eq!(error_code(&read_reply(&mut long)), Some("cancelled"));
+    assert_eq!(error_code(&read_reply(&mut queued)), Some("preempted"));
+
+    // Job B runs to completion across many park boundaries.
+    let b = request(&ckpt, r#"{"op":"run","scenario":"fig6_division_tree","scale":"smoke"}"#);
+    assert!(ok(&b), "job B failed: {}", b.to_string_compact());
+    assert_eq!(counter(&ckpt, "checkpoints_stored"), 1, "only the park stores a checkpoint");
+    assert_eq!(counter(&ckpt, "checkpoint_evictions"), 0);
+
+    // A is still parked, and resumes to the uninterrupted bytes.
+    let fetched = fetch(&key);
+    assert!(ok(&fetched), "parked job A was evicted: {}", fetched.to_string_compact());
+    let resumed = request(
+        &ckpt,
+        &format!(
+            r#"{{"op":"run","scenario":"table1_config","scale":"smoke","resume_from":"{key}"}}"#
+        ),
+    );
+    assert!(ok(&resumed), "resume failed: {}", resumed.to_string_compact());
+    assert_eq!(resumed.get("cache_hit").and_then(Json::as_bool), Some(false));
+    assert_eq!(
+        resumed.get("report").map(Json::to_string_compact).as_deref(),
+        Some(baseline_report.as_str()),
+        "resumed report diverged from the uninterrupted run"
+    );
+
+    plain.shutdown();
+    ckpt.shutdown();
+}
+
 /// Every checkpoint failure mode is a structured error, never a hang,
 /// a panic, or a silently wrong run.
 #[test]

@@ -159,6 +159,9 @@ pub struct Machine {
 #[derive(Debug, Default)]
 struct Recycled {
     mem: Vec<u8>,
+    /// The cache hierarchy, cleared, when it already fits the next
+    /// configuration.
+    hier: Option<Hierarchy>,
     arena: EntryArena,
     completions: BinaryHeap<CompletionEvent>,
     scratch: Scratch,
@@ -181,7 +184,9 @@ impl Machine {
 
     /// Rebuilds this machine in place for a new run of `program` under
     /// `cfg`, reusing the retired machine's heap allocations (data memory,
-    /// entry arena, event heap, stage scratch). The resulting state is
+    /// entry arena, event heap, stage scratch, and the cache hierarchy
+    /// when its geometry, memory latency and core count are unchanged,
+    /// cleared instead of rebuilt). The resulting state is
     /// constructed exactly like [`Machine::new`]'s, so a reset machine is
     /// cycle-for-cycle identical to a fresh one; only allocator traffic
     /// differs. Profile/trace enablement and any cancel token are cleared.
@@ -195,6 +200,10 @@ impl Machine {
         Self::validate(&cfg, program)?;
         let recycled = Recycled {
             mem: std::mem::replace(&mut self.mem, Memory::new(0, 0, &[])).into_buffer(),
+            hier: self.hier.fits(&cfg).then(|| {
+                self.hier.reset();
+                std::mem::take(&mut self.hier)
+            }),
             arena: std::mem::take(&mut self.arena),
             completions: std::mem::take(&mut self.completions),
             scratch: std::mem::take(&mut self.scratch),
@@ -224,7 +233,7 @@ impl Machine {
         recycled.completions.clear();
         recycled.output.clear();
         recycled.load_lat_window.clear();
-        let hier = Hierarchy::new_cmp(&cfg, cfg.cores);
+        let hier = recycled.hier.take().unwrap_or_else(|| Hierarchy::new_cmp(&cfg, cfg.cores));
         let pred = Predictor::new(cfg.predictor);
         let policy = DivisionPolicy::from_config(&cfg);
         let stack = ContextStack::new(cfg.context_stack_entries);
@@ -1529,8 +1538,9 @@ impl Machine {
 /// A reusable machine slot for batch drivers: holds one warmed
 /// [`Machine`] across runs and rebuilds it in place with
 /// [`Machine::reset`], so repeated runs reuse the data-memory buffer, the
-/// entry arena and the stage scratch instead of reallocating them. A
-/// prepared machine is cycle-for-cycle identical to a fresh one.
+/// entry arena, the stage scratch and (while the cache shape holds) the
+/// cache hierarchy instead of reallocating them. A prepared machine is
+/// cycle-for-cycle identical to a fresh one.
 #[derive(Debug, Default)]
 pub struct WarmMachine {
     machine: Option<Machine>,
@@ -1565,6 +1575,7 @@ impl WarmMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use capsule_core::config::CacheParams;
     use capsule_isa::asm::Asm;
     use capsule_isa::program::{DataBuilder, ThreadSpec};
     use capsule_isa::reg::Reg;
@@ -2225,6 +2236,72 @@ mod tests {
         assert!(
             matches!(err, SimError::SnapshotMismatch { ref reason } if reason.contains("hash"))
         );
+    }
+
+    fn assert_hash_mismatch(err: SimError, what: &str) {
+        assert!(
+            matches!(err, SimError::SnapshotMismatch { ref reason } if reason.contains("hash")),
+            "{what}: {err:?}"
+        );
+    }
+
+    #[test]
+    fn snapshot_rejects_a_program_one_data_byte_apart() {
+        // Five words and a three-byte tail: the identity hash reads the
+        // image a word at a time and must still see every byte.
+        let mut p = checkpoint_workload();
+        p.data.extend(1..=19u8);
+        assert_eq!(p.data.len() % 8, 3);
+        let mut m = Machine::new(somt(), &p).unwrap();
+        assert!(m.run_until(100_000, 20).unwrap().is_none());
+        let blob = m.snapshot();
+        Machine::new(somt(), &p).unwrap().restore_snapshot(&blob).unwrap();
+        for at in [30, p.data.len() - 1] {
+            let mut other = p.clone();
+            other.data[at] ^= 1;
+            let err = Machine::new(somt(), &other).unwrap().restore_snapshot(&blob).unwrap_err();
+            assert_hash_mismatch(err, &format!("data byte {at}"));
+        }
+    }
+
+    #[test]
+    fn snapshot_rejects_a_config_one_l2_field_apart() {
+        let p = checkpoint_workload();
+        let mut m = Machine::new(somt(), &p).unwrap();
+        assert!(m.run_until(100_000, 20).unwrap().is_none());
+        let blob = m.snapshot();
+        let l2 = somt().l2;
+        for (field, changed) in [
+            ("size_bytes", CacheParams { size_bytes: l2.size_bytes * 2, ..l2 }),
+            ("assoc", CacheParams { assoc: l2.assoc * 2, ..l2 }),
+            ("latency", CacheParams { latency: l2.latency + 1, ..l2 }),
+            ("ports", CacheParams { ports: l2.ports + 1, ..l2 }),
+        ] {
+            let cfg = MachineConfig { l2: changed, ..somt() };
+            let err = Machine::new(cfg, &p).unwrap().restore_snapshot(&blob).unwrap_err();
+            assert_hash_mismatch(err, field);
+        }
+    }
+
+    #[test]
+    fn warm_machine_across_cache_geometries_matches_fresh_machines() {
+        // Repeats reuse the held hierarchy; changes rebuild it. Every run
+        // must match a brand-new machine, cache statistics included.
+        let p = checkpoint_workload();
+        let table1 = somt();
+        let doubled = MachineConfig { l1d: table1.l1d.doubled(), ..table1.clone() };
+        let cmp = MachineConfig::cmp_somt(2, 4);
+        let mut warm = WarmMachine::new();
+        for cfg in [&table1, &table1, &doubled, &doubled, &cmp, &cmp, &table1, &cmp, &doubled] {
+            let mut fresh = Machine::new(cfg.clone(), &p).unwrap();
+            fresh.enable_profile();
+            fresh.enable_trace(4096);
+            let expected = fresh.run(100_000).unwrap();
+            let m = warm.prepare(cfg.clone(), &p).unwrap();
+            m.enable_profile();
+            m.enable_trace(4096);
+            assert_eq!(m.run(100_000).unwrap(), expected, "cores {}, l1d {:?}", cfg.cores, cfg.l1d);
+        }
     }
 
     #[test]

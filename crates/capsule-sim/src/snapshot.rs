@@ -7,7 +7,7 @@
 //! division-policy death window, and all statistics — so that
 //! `restore` + `run` is cycle-for-cycle identical to an uninterrupted
 //! run. The blob is self-describing: a fixed header carries a magic
-//! word, the format version, and an FNV-1a hash of the machine
+//! word, the format version, and an FNV hash of the machine
 //! configuration and the loaded program, so a blob can only be restored
 //! into a machine prepared with the same config and program.
 //!
@@ -74,9 +74,10 @@ pub(crate) fn check_header(r: &mut Reader<'_>, sig: u64) -> Result<(), SimError>
     Ok(())
 }
 
-/// FNV-1a identity hash of a (configuration, program) pair. A snapshot
+/// FNV identity hash of a (configuration, program) pair. A snapshot
 /// taken on one machine restores only into a machine whose hash
-/// matches — same timing model, same text, same data image.
+/// matches — same timing model, same text, same data image. It runs on
+/// every machine reset, so the text and data go in a word per step.
 pub(crate) fn machine_sig(cfg: &MachineConfig, program: &Program) -> u64 {
     let mut h = Fnv64::new();
     hash_config(&mut h, cfg);
@@ -138,16 +139,27 @@ fn hash_program(h: &mut Fnv64, program: &Program) {
     for instr in &program.text {
         match capsule_isa::encode::encode(instr) {
             Ok([a, b]) => {
-                h.write_u64(a);
-                h.write_u64(b);
+                h.write_word(a);
+                h.write_word(b);
             }
             // Unencodable instructions cannot come from the assembler;
             // fall back to the debug form so the hash stays total.
             Err(_) => h.write(format!("{instr:?}").as_bytes()),
         }
     }
+    // The data image goes in a little-endian word at a time; a short
+    // tail is zero-padded to a word (the length above tells it apart).
     h.write_u64(program.data.len() as u64);
-    h.write(&program.data);
+    let words = program.data.chunks_exact(8);
+    let tail = words.remainder();
+    for w in words {
+        h.write_word(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+    }
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        h.write_word(u64::from_le_bytes(last));
+    }
     h.write_u64(program.mem_size as u64);
     h.write_u64(program.threads.len() as u64);
     for t in &program.threads {

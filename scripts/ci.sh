@@ -17,6 +17,9 @@ cargo test -q --offline --workspace
 echo "==> cargo clippy --offline -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --offline (warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> bench_sim determinism smoke"
 # The simulator's fast path (event-driven wakeup, idle fast-forward)
 # must stay bit-deterministic: two smoke-scale runs have to produce
