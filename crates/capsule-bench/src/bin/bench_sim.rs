@@ -26,7 +26,14 @@
 //!   byte-identical parity checks across simulator changes.
 //! - `--deterministic` omits every host-timing field from the output so
 //!   two runs of the same build produce byte-identical JSON (the CI
-//!   determinism smoke).
+//!   determinism smoke). It also skips the stage pass below.
+//! - Outside `--deterministic`, a second, serial pass runs each entry's
+//!   scenarios once with the stage profile off and once with it on, and
+//!   prints (and records as `stage_ms` and `profile_cost`) the host
+//!   milliseconds spent in each pipeline stage (sampled estimates, see
+//!   `Machine::stage_times`), the time no stage accounts for (`other`),
+//!   and what turning the profile on cost. The timed columns above come
+//!   from the first pass, profile off.
 //! - `--trace-export DIR` runs every scenario with CAPSULE-event tracing
 //!   on and writes one Chrome trace-event JSON per scenario to `DIR`
 //!   (see docs/OBSERVABILITY.md). Reports and simulated numbers are
@@ -34,19 +41,76 @@
 //!   times include the recording cost, so don't compare a traced run's
 //!   `wall_ms` against an untraced baseline.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use capsule_bench::benchfile::{compare_field, read_entry_field, round3};
 use capsule_bench::catalog::{self, Scale};
 use capsule_bench::trace_export::export_batch;
-use capsule_bench::{BatchRunner, RunOptions, BUDGET};
+use capsule_bench::{BatchRunner, RunOptions, Scenario, BUDGET};
 use capsule_core::output::Json;
+use capsule_sim::{StageTimes, WarmMachine};
 
 struct EntryResult {
     name: &'static str,
     scenarios: usize,
     sim_cycles: u64,
     wall_ms: f64,
+    stages: Option<StagePass>,
+}
+
+/// One entry's scenarios run serially on one warmed machine, each once
+/// with the stage profile off and once with it on (`Machine::run` only).
+#[derive(Default)]
+struct StagePass {
+    plain: Duration,
+    profiled: Duration,
+    stages: StageTimes,
+}
+
+impl StagePass {
+    fn run(scenarios: &[Scenario], warm: &mut WarmMachine) -> StagePass {
+        let mut pass = StagePass::default();
+        for sc in scenarios {
+            let program = sc.workload.program(sc.variant);
+            for profile in [false, true] {
+                let m = warm.prepare(sc.config.clone(), &program).expect("scenario builds");
+                if profile {
+                    m.enable_profile();
+                }
+                let start = Instant::now();
+                m.run(BUDGET).unwrap_or_else(|e| panic!("{}: {e}", sc.label));
+                let took = start.elapsed();
+                match m.stage_times() {
+                    Some(t) => {
+                        pass.profiled += took;
+                        pass.stages.add(&t);
+                    }
+                    None => pass.plain += took,
+                }
+            }
+        }
+        pass
+    }
+
+    /// `(stage, ms)` for the five stages and `other`, the profiled run
+    /// time no stage accounts for.
+    fn stage_ms(&self) -> Vec<(&'static str, f64)> {
+        let mut rows: Vec<(&'static str, f64)> =
+            self.stages.stages().iter().map(|&(name, d)| (name, ms(d))).collect();
+        let charged: f64 = rows.iter().map(|r| r.1).sum();
+        rows.push(("other", ms(self.profiled) - charged));
+        rows
+    }
+
+    /// Extra host time of the profiled runs over the plain ones, as a
+    /// fraction.
+    fn cost(&self) -> f64 {
+        ms(self.profiled) / ms(self.plain).max(1e-9) - 1.0
+    }
+}
+
+fn ms(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e3
 }
 
 struct Args {
@@ -120,6 +184,7 @@ fn main() {
     let args = parse_args();
     let runner = BatchRunner::from_env();
     let mut results: Vec<EntryResult> = Vec::new();
+    let mut warm = WarmMachine::new();
 
     println!("simulator throughput, {} scale, {} worker(s)\n", args.scale.name(), runner.workers());
     println!(
@@ -134,6 +199,9 @@ fn main() {
         }
         let scenarios = entry.scenarios(args.scale);
         let n = scenarios.len();
+        // The stage pass runs after the timed batch, so it cannot warm
+        // anything the timed batch measures.
+        let stage_input = (!args.deterministic).then(|| scenarios.clone());
         let contexts: Vec<usize> = scenarios.iter().map(|s| s.config.contexts).collect();
         let opts =
             RunOptions { profile: false, trace: args.trace_export.as_ref().map(|_| 200_000usize) };
@@ -166,7 +234,28 @@ fn main() {
                 );
             }
         }
-        results.push(EntryResult { name: entry.name, scenarios: n, sim_cycles, wall_ms });
+        let stages = stage_input.map(|sc| StagePass::run(&sc, &mut warm));
+        results.push(EntryResult { name: entry.name, scenarios: n, sim_cycles, wall_ms, stages });
+    }
+
+    if !args.deterministic {
+        println!(
+            "\nhost ms per stage (serial Machine::run, profile on; cost = profiled / plain - 1)\n"
+        );
+        println!(
+            "  {:<24} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>7}",
+            "entry", "fetch", "dispatch", "issue", "complete", "commit", "other", "plain", "cost"
+        );
+        for r in &results {
+            let Some(pass) = &r.stages else { continue };
+            let cols: String = pass.stage_ms().iter().map(|(_, v)| format!(" {v:>9.1}")).collect();
+            println!(
+                "  {:<24}{cols} {:>9.1} {:>6.1}%",
+                r.name,
+                ms(pass.plain),
+                pass.cost() * 100.0
+            );
+        }
     }
 
     let baseline = args.baseline.as_deref().map(|p| read_entry_field(p, "wall_ms"));
@@ -184,6 +273,13 @@ fn main() {
             let secs = r.wall_ms / 1e3;
             row.push("wall_ms", round3(r.wall_ms))
                 .push("sim_cycles_per_sec", round3(r.sim_cycles as f64 / secs.max(1e-9)));
+            if let Some(pass) = &r.stages {
+                let mut stage_ms = Json::object();
+                for (name, v) in pass.stage_ms() {
+                    stage_ms.push(name, round3(v));
+                }
+                row.push("stage_ms", stage_ms).push("profile_cost", round3(pass.cost()));
+            }
             if let Some(base) = &baseline {
                 if let Some((_, base_ms)) = base.iter().find(|(n, _)| n == r.name) {
                     compared += 1;

@@ -110,6 +110,61 @@ fn every_smoke_entry_roundtrips_through_checkpoints() {
     }
 }
 
+/// Parks one short division-heavy smoke scenario at every cycle
+/// boundary its run stops at and resumes it from the blob each time.
+/// A restored machine has not run the complete stage of its current
+/// cycle yet, so an event due at that cycle must fire there: filing it
+/// a cycle late shows up here as a changed report.
+#[test]
+fn parking_at_every_cycle_boundary_changes_no_report_byte() {
+    let entry = catalog::find("fuzz_regress").expect("catalog entry exists");
+    let scenarios: Vec<_> = entry
+        .scenarios(Scale::Smoke)
+        .into_iter()
+        .filter(|sc| sc.group == "somt" && sc.label == "near-miss-division")
+        .collect();
+    assert_eq!(scenarios.len(), 1, "the scenario is in the catalog");
+    let baseline = BatchRunner::with_workers(1)
+        .try_run_opts(entry.title, scenarios.clone(), BUDGET, None, OPTS)
+        .expect("smoke scenario succeeds");
+    let cycles = baseline.records[0].outcome.cycles();
+
+    let mut warm = WarmMachine::new();
+    let mut blob: Option<Vec<u8>> = None;
+    let mut parks = 0u64;
+    let report = loop {
+        // Poll 1 comes before the scenario (re)starts, poll 2 at the
+        // first boundary after it: one step per leg.
+        let leg = run_checkpointed(
+            entry.title,
+            scenarios.clone(),
+            BUDGET,
+            None,
+            OPTS,
+            &mut warm,
+            1,
+            blob.as_deref(),
+            park_at_poll(2),
+        )
+        .expect("checkpointed leg succeeds");
+        match leg {
+            CheckpointOutcome::Done(report) => break report,
+            CheckpointOutcome::Preempted(b) => {
+                parks += 1;
+                assert!(parks <= cycles, "{parks} parks in a {cycles}-cycle run: no progress");
+                blob = Some(b);
+            }
+        }
+    };
+    let stepped = baseline.records[0].outcome.profile.as_ref().expect("profiled").stepped_cycles;
+    assert!(parks + 1 >= stepped, "{parks} parks over {stepped} stepped of {cycles} cycles");
+    assert_eq!(
+        report.to_json().to_string_pretty(),
+        baseline.to_json().to_string_pretty(),
+        "parking at every boundary changed the report"
+    );
+}
+
 /// Seeded property test: preempt at random checkpoint boundaries,
 /// resuming alternately on the same warmed machine and on a fresh one
 /// (the migration case), until the batch completes. The final report

@@ -12,7 +12,7 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use capsule_core::output::Json;
-use capsule_serve::{Server, ServerOptions};
+use capsule_serve::{frame, Server, ServerOptions};
 
 /// Every job on the flight ring follows causality: for each cache key,
 /// its `enqueue`, then its `start` (`dequeue` on a server, `dispatch` at
@@ -258,6 +258,36 @@ fn malformed_and_unknown_requests_get_structured_rejections() {
         assert!(reply.get("detail").and_then(Json::as_str).is_some(), "{why}: detail missing");
     }
     assert_eq!(counter(&server, "bad_requests"), 5);
+    server.shutdown();
+}
+
+#[test]
+fn request_line_past_the_frame_cap_is_a_counted_bad_request_and_closes() {
+    let server = start(1, 2, 2);
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    // One byte past the cap and no newline, streamed in 1 MiB pieces.
+    // Exactly that much is sent, so the server reads all of it and its
+    // close is a clean end of stream, not a reset.
+    let mut left = frame::MAX_FRAME_LEN as usize + 1;
+    let mut piece = vec![b' '; 1 << 20];
+    piece[0] = b'{';
+    while left > 0 {
+        let n = left.min(piece.len());
+        stream.write_all(&piece[..n]).expect("send oversized line");
+        piece[0] = b' ';
+        left -= n;
+    }
+    stream.flush().expect("flush");
+
+    let mut reader = BufReader::new(stream);
+    let reply = read_reply(&mut reader);
+    assert_eq!(error_code(&reply), Some("bad-request"), "{}", reply.to_string_compact());
+    let detail = reply.get("detail").and_then(Json::as_str).unwrap_or("");
+    assert!(detail.contains("exceeds"), "detail was {detail:?}");
+    // The rest of the line was never framed, so the server hangs up.
+    let mut rest = String::new();
+    assert_eq!(reader.read_line(&mut rest).expect("clean close"), 0, "got {rest:?}");
+    assert_eq!(counter(&server, "bad_requests"), 1);
     server.shutdown();
 }
 

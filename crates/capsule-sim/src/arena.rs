@@ -1,8 +1,8 @@
 //! Generational struct-of-arrays arena for in-flight window entries.
 //!
 //! The RUU/LSQ entries of every thread live here as parallel `Vec`s
-//! indexed by a dense slot id: the wakeup chains, the completion event
-//! heap and the per-thread ready lists all carry plain `u32` indices, so
+//! indexed by a dense slot id: the wakeup chains, the completion wheel
+//! and the machine's ready list all carry plain `u32` indices, so
 //! the hot stages (dispatch renaming, completion chain walks, issue
 //! arbitration, commit) are straight array loads — no per-entry heap
 //! nodes and none of the `binary_search`-by-sequence lookups the
@@ -262,10 +262,6 @@ impl EntryArena {
         self.unready[idx as usize]
     }
 
-    pub fn is_issued(&self, idx: u32) -> bool {
-        self.flags[idx as usize] & F_ISSUED != 0
-    }
-
     pub fn is_completed(&self, idx: u32) -> bool {
         self.flags[idx as usize] & F_COMPLETED != 0
     }
@@ -276,6 +272,12 @@ impl EntryArena {
 
     pub fn is_mem(&self, idx: u32) -> bool {
         self.flags[idx as usize] & F_MEM != 0
+    }
+
+    /// The completion cycle recorded at issue (`now` at birth for inert
+    /// entries).
+    pub fn complete_at(&self, idx: u32) -> u64 {
+        self.complete_at[idx as usize]
     }
 
     pub fn mem_addr(&self, idx: u32) -> u64 {
@@ -380,10 +382,10 @@ impl EntryArena {
     }
 
     /// Marks the entry complete and walks its wakeup chain: every waiter
-    /// loses one unready operand; those reaching zero are pushed onto
-    /// `ready` (each enters exactly once — a consumer has one chain link
-    /// per pending operand).
-    pub fn complete(&mut self, idx: u32, ready: &mut Vec<u32>) {
+    /// loses one unready operand; those reaching zero are handed to
+    /// `wake` with their sequence number (each exactly once — a consumer
+    /// has one chain link per pending operand).
+    pub fn complete(&mut self, idx: u32, mut wake: impl FnMut(u64, u32)) {
         let i = idx as usize;
         debug_assert!(self.flags[i] & F_ISSUED != 0 && self.flags[i] & F_COMPLETED == 0);
         self.flags[i] |= F_COMPLETED;
@@ -393,7 +395,7 @@ impl EntryArena {
             w = self.next_waiter[e][slot as usize].take();
             self.unready[e] -= 1;
             if self.unready[e] == 0 {
-                ready.push(entry);
+                wake(self.seq[e], entry);
             }
         }
     }
@@ -460,12 +462,13 @@ mod tests {
 
         a.mark_issued(p, 5);
         let mut ready = Vec::new();
-        a.complete(p, &mut ready);
+        a.complete(p, |seq, e| ready.push((seq, e)));
         assert_eq!(a.unready(c1), 0);
         assert_eq!(a.unready(c2), 0);
-        // Both consumers become ready exactly once, despite c1's two links.
+        // Both consumers become ready exactly once, despite c1's two links,
+        // each with its own sequence number.
         ready.sort_unstable();
-        assert_eq!(ready, vec![c1, c2]);
+        assert_eq!(ready, vec![(1, c1), (2, c2)]);
     }
 
     #[test]
@@ -477,7 +480,7 @@ mod tests {
 
         let mut ready = Vec::new();
         a.mark_issued(p, 1);
-        a.complete(p, &mut ready);
+        a.complete(p, |_, e| ready.push(e));
         assert_eq!(ready, vec![c]);
 
         // Retire the producer and reuse its slot: the old chain links were
@@ -490,7 +493,7 @@ mod tests {
         assert!(a.link_if_pending(a.entry_ref(p2), c2, 0));
         a.mark_issued(p2, 2);
         ready.clear();
-        a.complete(p2, &mut ready);
+        a.complete(p2, |_, e| ready.push(e));
         assert_eq!(ready, vec![c2]);
 
         // A completed-then-retired producer is never linked against.
@@ -516,9 +519,7 @@ mod tests {
         /// Test helper: issue + complete with no waiters.
         fn complete_inert_for_test(&mut self, idx: u32) {
             self.mark_issued(idx, 0);
-            let mut ready = Vec::new();
-            self.complete(idx, &mut ready);
-            assert!(ready.is_empty());
+            self.complete(idx, |_, _| panic!("no waiters"));
         }
     }
 }

@@ -51,11 +51,12 @@ mod pipeline;
 pub mod predictor;
 pub mod snapshot;
 pub mod trace;
+mod wheel;
 
 pub use cancel::CancelToken;
 pub use chrome::chrome_trace;
 pub use exec::{ArchState, Memory, OutValue, TrapKind};
 pub use interp::{Interp, InterpConfig, InterpError, InterpOutcome};
 pub use machine::{Machine, WarmMachine};
-pub use outcome::{SimError, SimOutcome, StageCount, StageProfile};
+pub use outcome::{SimError, SimOutcome, StageCount, StageProfile, StageTimes};
 pub use trace::{Trace, TraceEvent, TraceKind};

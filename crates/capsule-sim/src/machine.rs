@@ -22,9 +22,9 @@
 //! - `mlock`/`munlock` drive the fast lock table; a blocked thread stops
 //!   dispatching and pays a squash penalty when ownership arrives.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use capsule_core::codec::{CodecError, Reader, Writer};
 use capsule_core::config::MachineConfig;
@@ -39,15 +39,21 @@ use crate::arena::{EntryArena, EntryRef};
 use crate::cancel::CancelToken;
 use crate::exec::{step, ArchState, Effect, Memory, OutValue};
 use crate::locks::{AcquireResult, LockTable, ReleaseResult};
-use crate::outcome::{SimError, SimOutcome, StageProfile};
+use crate::outcome::{SimError, SimOutcome, StageProfile, StageTimes};
 use crate::pipeline::{
     AfterDrain, ContextStack, Fetched, SavedThread, SlotState, Thread, FETCH_QUEUE_CAP,
 };
 use crate::predictor::Predictor;
 use crate::trace::{Trace, TraceKind};
+use crate::wheel::Wheel;
 
 /// Maximum memory instructions issued per cycle (per L1-D port).
 const MEM_ISSUE_PER_PORT: usize = 1;
+
+/// The profile times the stages of one stepped cycle in this many (a
+/// power of two). Reading the clock around every stage of every cycle
+/// added a fifth to a half to a profiled run's host time.
+const STAGE_TIME_SAMPLE: u64 = 16;
 
 #[derive(Debug)]
 struct Slot {
@@ -55,22 +61,29 @@ struct Slot {
     thread: Option<Thread>,
 }
 
-/// A pending completion event: `(complete_at, slot, seq, arena_idx)`,
-/// min-ordered by cycle in the machine's event heap. An entry that blocks
-/// completion also blocks commit, so the slot's thread cannot die or swap
-/// before the event fires and its arena slot cannot be reused. The
-/// sequence number is unique, so the trailing arena index never takes
-/// part in an ordering decision — pop order is identical to the historic
-/// `(complete_at, slot, seq)` key.
-type CompletionEvent = Reverse<(u64, usize, u64, u32)>;
+/// One core's issue counters for a cycle: the issue bandwidth at
+/// [`ISSUE`], then one functional-unit pool per class (see [`pool_of`]).
+type Pools = [usize; 6];
+
+/// Index of the issue bandwidth in [`Pools`].
+const ISSUE: usize = 0;
+
+/// Index of `fu`'s functional-unit pool in [`Pools`].
+fn pool_of(fu: FuClass) -> usize {
+    match fu {
+        FuClass::IntAlu => 1,
+        FuClass::IntMult => 2,
+        FuClass::FpAlu => 3,
+        FuClass::FpMult => 4,
+        FuClass::Mem => 5,
+        FuClass::None => unreachable!("inert entries never enter the ready list"),
+    }
+}
 
 /// Reusable per-cycle buffers, hoisted out of the stage loops so the
 /// steady-state cycle loop performs no heap allocation.
 #[derive(Debug, Default)]
 struct Scratch {
-    /// issue: `(seq, slot, arena_idx)` candidates gathered from
-    /// per-thread ready lists.
-    candidates: Vec<(u64, usize, u32)>,
     /// commit/dispatch: per-core bandwidth budgets.
     budgets: Vec<usize>,
     /// commit: slots whose drain completed this cycle.
@@ -78,12 +91,7 @@ struct Scratch {
     /// fetch: `(icount, slot)` eligibility list of one core.
     eligible: Vec<(usize, usize)>,
     /// issue: per-core issue bandwidth and functional-unit pools.
-    issue_budget: Vec<usize>,
-    ialu: Vec<usize>,
-    imult: Vec<usize>,
-    fpalu: Vec<usize>,
-    fpmult: Vec<usize>,
-    mem_issues: Vec<usize>,
+    pools: Vec<Pools>,
 }
 
 /// What the machine can do next, as seen by the idle fast-forward.
@@ -112,6 +120,8 @@ pub struct Machine {
     hier: Hierarchy,
     pred: Predictor,
     slots: Vec<Slot>,
+    /// The core of each context slot.
+    slot_core: Vec<usize>,
     stack: ContextStack,
     locks: LockTable,
     policy: DivisionPolicy,
@@ -137,9 +147,17 @@ pub struct Machine {
     load_lat_window: VecDeque<u64>,
     load_lat_sum: u64,
 
-    /// Pending completion events, min-ordered by cycle. Filled at issue,
-    /// drained by `complete_stage`.
-    completions: BinaryHeap<CompletionEvent>,
+    /// Pending completion events by due cycle. Filled at issue, fired by
+    /// `complete_stage`. An entry that blocks completion also blocks
+    /// commit, so the slot's thread cannot die or swap before the event
+    /// fires and its arena slot cannot be reused.
+    completions: Wheel,
+    /// `(seq, slot, arena_idx)` of every entry whose operands are all
+    /// complete but which has not issued, oldest first across all slots
+    /// and cores (the shared L2 and the load-latency average see issue
+    /// in this order). Dispatch appends, a wakeup inserts in place, and
+    /// issue removes the winners.
+    ready: Vec<(u64, usize, u32)>,
     /// Reusable per-cycle stage buffers (no steady-state allocation).
     scratch: Scratch,
     /// `log2(line_bytes)` when the line size is a power of two (it always
@@ -148,6 +166,11 @@ pub struct Machine {
     line_shift: Option<u32>,
     /// Per-stage self-profile, when enabled.
     profile: Option<Box<StageProfile>>,
+    /// Host time per stage, accumulated while the profile is enabled.
+    stage_times: StageTimes,
+    /// What one clock read costs, measured when the profile is enabled;
+    /// every stage lap carries one, and `charge` takes it back out.
+    clock_cost: Duration,
 
     trace: Option<Trace>,
     cancel: Option<CancelToken>,
@@ -163,7 +186,8 @@ struct Recycled {
     /// configuration.
     hier: Option<Hierarchy>,
     arena: EntryArena,
-    completions: BinaryHeap<CompletionEvent>,
+    completions: Wheel,
+    ready: Vec<(u64, usize, u32)>,
     scratch: Scratch,
     output: Vec<OutValue>,
     load_lat_window: VecDeque<u64>,
@@ -184,9 +208,9 @@ impl Machine {
 
     /// Rebuilds this machine in place for a new run of `program` under
     /// `cfg`, reusing the retired machine's heap allocations (data memory,
-    /// entry arena, event heap, stage scratch, and the cache hierarchy
-    /// when its geometry, memory latency and core count are unchanged,
-    /// cleared instead of rebuilt). The resulting state is
+    /// entry arena, completion wheel, ready list, stage scratch, and the
+    /// cache hierarchy when its geometry, memory latency and core count
+    /// are unchanged, cleared instead of rebuilt). The resulting state is
     /// constructed exactly like [`Machine::new`]'s, so a reset machine is
     /// cycle-for-cycle identical to a fresh one; only allocator traffic
     /// differs. Profile/trace enablement and any cancel token are cleared.
@@ -206,6 +230,7 @@ impl Machine {
             }),
             arena: std::mem::take(&mut self.arena),
             completions: std::mem::take(&mut self.completions),
+            ready: std::mem::take(&mut self.ready),
             scratch: std::mem::take(&mut self.scratch),
             output: std::mem::take(&mut self.output),
             load_lat_window: std::mem::take(&mut self.load_lat_window),
@@ -231,6 +256,7 @@ impl Machine {
             Memory::recycled(recycled.mem, program.mem_size, capsule_isa::DATA_BASE, &program.data);
         recycled.arena.clear();
         recycled.completions.clear();
+        recycled.ready.clear();
         recycled.output.clear();
         recycled.load_lat_window.clear();
         let hier = recycled.hier.take().unwrap_or_else(|| Hierarchy::new_cmp(&cfg, cfg.cores));
@@ -258,6 +284,8 @@ impl Machine {
         let mut stats = SimStats::new();
         stats.max_live_workers = live;
         let cores = cfg.cores;
+        let per_core = cfg.contexts / cores;
+        let slot_core = (0..cfg.contexts).map(|i| i / per_core).collect();
         let line_bytes = hier.line_bytes();
         let line_shift = line_bytes.is_power_of_two().then(|| line_bytes.trailing_zeros());
 
@@ -269,6 +297,7 @@ impl Machine {
             hier,
             pred,
             slots,
+            slot_core,
             stack,
             locks,
             policy,
@@ -286,9 +315,12 @@ impl Machine {
             load_lat_window: recycled.load_lat_window,
             load_lat_sum: 0,
             completions: recycled.completions,
+            ready: recycled.ready,
             scratch: recycled.scratch,
             line_shift,
             profile: None,
+            stage_times: StageTimes::default(),
+            clock_cost: Duration::ZERO,
             trace: None,
             cancel: None,
         }
@@ -338,9 +370,36 @@ impl Machine {
 
     /// Enables the per-stage self-profile: cycles with work and entries
     /// processed per pipeline stage, plus idle fast-forward counters,
-    /// reported in [`SimOutcome::profile`]. Call before `run`.
+    /// reported in [`SimOutcome::profile`], and the host time of each
+    /// stage, read with [`Machine::stage_times`]. Call before `run`.
     pub fn enable_profile(&mut self) {
         self.profile = Some(Box::default());
+        self.restart_stage_times();
+    }
+
+    /// Zeroes the stage times and measures what one clock read costs.
+    fn restart_stage_times(&mut self) {
+        const READS: u32 = 64;
+        self.stage_times = StageTimes::default();
+        self.clock_cost = (0..8)
+            .map(|_| {
+                let start = Instant::now();
+                for _ in 0..READS {
+                    std::hint::black_box(Instant::now());
+                }
+                start.elapsed() / READS
+            })
+            .min()
+            .unwrap_or_default();
+    }
+
+    /// Host time spent in each pipeline stage since the profile was
+    /// enabled (or since a snapshot carrying a profile was restored);
+    /// `None` while the profile is off. It is estimated from one stepped
+    /// cycle in 16, scaled up. Host time differs from run to run, so it
+    /// stays out of [`SimOutcome`] and out of snapshots.
+    pub fn stage_times(&self) -> Option<StageTimes> {
+        self.profile.is_some().then(|| self.stage_times.scaled(STAGE_TIME_SAMPLE as u32))
     }
 
     /// Installs a cancellation token, polled once per cycle by [`run`].
@@ -439,23 +498,19 @@ impl Machine {
     /// Conservative by construction: anything that might act *next cycle*
     /// reports [`Wakeup::Busy`]. The only sources of future work are
     /// timers (`WaitCopy`/`SwapIn`, fetch/dispatch block cycles) and the
-    /// completion event heap; `swap_check` cannot newly fire during idle
+    /// completion wheel; `swap_check` cannot newly fire during idle
     /// cycles because slow counters only change when loads issue.
     fn next_wakeup(&self) -> Wakeup {
         let now = self.cycle;
+        // Issue work pending, or a completion due now.
+        if !self.ready.is_empty() || self.completions.due(now) {
+            return Wakeup::Busy;
+        }
         let mut next: Option<u64> = None;
         let bump = |next: &mut Option<u64>, at: u64| {
             *next = Some(next.map_or(at, |n| n.min(at)));
         };
 
-        if let Some(&Reverse((at, _, _, _))) = self.completions.peek() {
-            if at <= now {
-                return Wakeup::Busy;
-            }
-            bump(&mut next, at);
-        }
-
-        let per_core = self.per_core();
         for (i, slot) in self.slots.iter().enumerate() {
             if let SlotState::WaitCopy { until } | SlotState::SwapIn { until } = slot.state {
                 if until <= now {
@@ -464,10 +519,7 @@ impl Machine {
                 bump(&mut next, until);
             }
             let Some(t) = slot.thread.as_ref() else { continue };
-            // Issue or commit work pending.
-            if !t.ready.is_empty() {
-                return Wakeup::Busy;
-            }
+            // Commit work pending.
             if t.in_flight.front().is_some_and(|&idx| self.arena.is_completed(idx)) {
                 return Wakeup::Busy;
             }
@@ -486,7 +538,7 @@ impl Machine {
                 if t.dispatch_block_until > now {
                     bump(&mut next, t.dispatch_block_until);
                 } else {
-                    let core = i / per_core;
+                    let core = self.slot_core[i];
                     let is_mem = self.text.meta(f.pc as usize).is_mem();
                     if self.ruu_used[core] < self.cfg.ruu_size
                         && (!is_mem || self.lsq_used[core] < self.cfg.lsq_size)
@@ -494,9 +546,14 @@ impl Machine {
                         return Wakeup::Busy;
                     }
                     // Window full: freed by a commit, which a completion
-                    // event already in the heap precedes.
+                    // event already on the wheel precedes.
                 }
             }
+        }
+        // Scanned last: only a machine with nothing else to do pays for
+        // the walk over the wheel.
+        if let Some(at) = self.completions.next_due(now) {
+            bump(&mut next, at);
         }
         match next {
             Some(t) => Wakeup::At(t),
@@ -511,14 +568,24 @@ impl Machine {
     /// Propagates traps from dispatch.
     pub fn step_cycle(&mut self) -> Result<(), SimError> {
         self.expire_states();
+        let mut lap = self
+            .profile
+            .as_deref()
+            .filter(|p| p.stepped_cycles % STAGE_TIME_SAMPLE == 0)
+            .map(|_| Instant::now());
         self.complete_stage();
+        self.charge(&mut lap, |t| &mut t.complete);
         self.commit_stage();
+        self.charge(&mut lap, |t| &mut t.commit);
         self.issue_stage();
+        self.charge(&mut lap, |t| &mut t.issue);
         self.dispatch_stage()?;
+        self.charge(&mut lap, |t| &mut t.dispatch);
         if self.halted {
             return Ok(());
         }
         self.fetch_stage();
+        self.charge(&mut lap, |t| &mut t.fetch);
         self.swap_check();
 
         self.stats.active_context_cycles +=
@@ -531,8 +598,15 @@ impl Machine {
         Ok(())
     }
 
-    fn per_core(&self) -> usize {
-        self.cfg.contexts / self.cfg.cores
+    /// Adds the host time since `lap` to one stage and restarts the lap;
+    /// does nothing on a cycle the profile does not time (`lap` is
+    /// `None`).
+    fn charge(&mut self, lap: &mut Option<Instant>, stage: fn(&mut StageTimes) -> &mut Duration) {
+        if let Some(start) = lap {
+            let now = Instant::now();
+            *stage(&mut self.stage_times) += (now - *start).saturating_sub(self.clock_cost);
+            *start = now;
+        }
     }
 
     fn machine_empty(&self) -> bool {
@@ -607,13 +681,16 @@ impl Machine {
         self.hier.encode(w);
         self.pred.encode(w);
         w.usize(self.slots.len());
-        for slot in &self.slots {
+        let mut ready = Vec::new();
+        for (i, slot) in self.slots.iter().enumerate() {
             slot.state.encode(w);
             match &slot.thread {
                 None => w.u8(0),
                 Some(t) => {
                     w.u8(1);
-                    t.encode(w);
+                    ready.clear();
+                    ready.extend(self.ready.iter().filter(|e| e.1 == i).map(|e| e.2));
+                    t.encode(w, &ready);
                 }
             }
         }
@@ -651,10 +728,13 @@ impl Machine {
             w.u64(l);
         }
         w.u64(self.load_lat_sum);
-        // The heap iterates in arbitrary order; sort so identical machine
+        // The wheel iterates in arbitrary order; sort so identical machine
         // states always produce identical snapshot bytes.
-        let mut events: Vec<(u64, usize, u64, u32)> =
-            self.completions.iter().map(|&Reverse(e)| e).collect();
+        let mut events: Vec<(u64, usize, u64, u32)> = self
+            .completions
+            .iter()
+            .map(|(slot, idx)| (self.arena.complete_at(idx), slot, self.arena.seq(idx), idx))
+            .collect();
         events.sort_unstable();
         w.usize(events.len());
         for (at, slot, seqno, idx) in events {
@@ -689,14 +769,25 @@ impl Machine {
         if nslots != self.slots.len() {
             return Err(CodecError::Invalid("context count mismatch"));
         }
-        for slot in &mut self.slots {
+        self.ready.clear();
+        for (i, slot) in self.slots.iter_mut().enumerate() {
             slot.state = SlotState::decode(r)?;
             slot.thread = match r.u8()? {
                 0 => None,
-                1 => Some(Thread::decode(r, arena_len)?),
+                1 => {
+                    let (t, ready) = Thread::decode(r, arena_len)?;
+                    for idx in ready {
+                        if self.arena.fu(idx) == FuClass::None {
+                            return Err(CodecError::Invalid("ready list names an inert entry"));
+                        }
+                        self.ready.push((self.arena.seq(idx), i, idx));
+                    }
+                    Some(t)
+                }
                 _ => return Err(CodecError::Invalid("bad thread tag")),
             };
         }
+        self.ready.sort_unstable();
         self.stack.decode_into(r)?;
         self.locks.decode_into(r)?;
         self.policy.restore_state(r)?;
@@ -742,18 +833,22 @@ impl Machine {
         for _ in 0..nev {
             let at = r.u64()?;
             let slot = r.usize()?;
-            let seqno = r.u64()?;
+            // The sequence number is the arena entry's own; it only keeps
+            // the written order canonical.
+            let _seqno = r.u64()?;
             let idx = r.u32()?;
             if slot >= self.slots.len() || idx as usize >= arena_len {
                 return Err(CodecError::Invalid("completion event out of range"));
             }
-            self.completions.push(Reverse((at, slot, seqno, idx)));
+            // This cycle's complete stage has not run yet.
+            self.completions.push(self.cycle, at, (slot, idx));
         }
         self.profile = match r.u8()? {
             0 => None,
             1 => Some(Box::new(crate::snapshot::decode_stage_profile(r)?)),
             _ => return Err(CodecError::Invalid("bad profile tag")),
         };
+        self.restart_stage_times();
         self.trace = match r.u8()? {
             0 => None,
             1 => Some(Trace::decode(r)?),
@@ -781,19 +876,17 @@ impl Machine {
 
     fn complete_stage(&mut self) {
         let now = self.cycle;
-        // Pop every completion event due this cycle and walk the producer's
-        // wakeup chain: each waiter loses one unready operand; at zero it
-        // enters its thread's ready list (exactly once).
-        let mut units = 0u64;
-        while let Some(&Reverse((at, slot, _seq, idx))) = self.completions.peek() {
-            if at > now {
-                break;
-            }
-            self.completions.pop();
-            let t = self.slots[slot].thread.as_mut().expect("completing slot has thread");
-            self.arena.complete(idx, &mut t.ready);
-            units += 1;
-        }
+        // Fire every completion event due this cycle and walk the
+        // producer's wakeup chain: each waiter loses one unready operand;
+        // at zero it enters the ready list (exactly once), at its age.
+        // Waiters belong to the producer's thread, hence to its slot.
+        let (arena, ready) = (&mut self.arena, &mut self.ready);
+        let units = self.completions.fire_due(now, |(slot, idx)| {
+            arena.complete(idx, |seq, entry| {
+                let at = ready.partition_point(|&(s, _, _)| s < seq);
+                ready.insert(at, (seq, slot, entry));
+            });
+        });
         if let Some(p) = self.profile.as_deref_mut() {
             p.complete.record(units);
         }
@@ -816,17 +909,20 @@ impl Machine {
     fn commit_stage(&mut self) {
         // Per-core commit bandwidth (a CMP commits on every core).
         let n = self.slots.len();
-        let per_core = self.per_core();
         let mut budgets = std::mem::take(&mut self.scratch.budgets);
         budgets.clear();
         budgets.resize(self.cfg.cores, self.cfg.commit_width);
-        let start = (self.cycle as usize) % n.max(1);
+        let mut next = (self.cycle as usize) % n.max(1);
         let mut drained = std::mem::take(&mut self.scratch.drained);
         drained.clear();
         let mut units = 0u64;
-        for k in 0..n {
-            let i = (start + k) % n;
-            let core = i / per_core;
+        for _ in 0..n {
+            let i = next;
+            next += 1;
+            if next == n {
+                next = 0;
+            }
+            let core = self.slot_core[i];
             let budget = &mut budgets[core];
             let slot = &mut self.slots[i];
             let Some(t) = slot.thread.as_mut() else { continue };
@@ -917,69 +1013,52 @@ impl Machine {
     }
 
     fn issue_stage(&mut self) {
-        // Gather candidates from the per-thread ready lists (entries land
-        // there exactly once, when their last operand completes).
-        let mut candidates = std::mem::take(&mut self.scratch.candidates);
-        candidates.clear();
-        for (i, slot) in self.slots.iter().enumerate() {
-            let Some(t) = slot.thread.as_ref() else { continue };
-            for &idx in &t.ready {
-                candidates.push((self.arena.seq(idx), i, idx));
-            }
-        }
-        if candidates.is_empty() {
-            self.scratch.candidates = candidates;
+        if self.ready.is_empty() {
             return;
         }
-        candidates.sort_unstable();
+        let fus = &self.cfg.fus;
+        let full: Pools = [
+            self.cfg.issue_width,
+            fus.ialu,
+            fus.imult,
+            fus.fpalu,
+            fus.fpmult,
+            self.cfg.l1d.ports * MEM_ISSUE_PER_PORT,
+        ];
+        let mut pools = std::mem::take(&mut self.scratch.pools);
+        pools.clear();
+        pools.resize(self.cfg.cores, full);
+        // Cores with issue bandwidth left; the walk ends when none is.
+        let mut open_cores = if full[ISSUE] > 0 { self.cfg.cores } else { 0 };
 
-        // Per-core issue bandwidth and functional-unit pools.
-        let cores = self.cfg.cores;
-        let per_core = self.per_core();
-        let mut budget = std::mem::take(&mut self.scratch.issue_budget);
-        budget.clear();
-        budget.resize(cores, self.cfg.issue_width);
-        let mut ialu = std::mem::take(&mut self.scratch.ialu);
-        ialu.clear();
-        ialu.resize(cores, self.cfg.fus.ialu);
-        let mut imult = std::mem::take(&mut self.scratch.imult);
-        imult.clear();
-        imult.resize(cores, self.cfg.fus.imult);
-        let mut fpalu = std::mem::take(&mut self.scratch.fpalu);
-        fpalu.clear();
-        fpalu.resize(cores, self.cfg.fus.fpalu);
-        let mut fpmult = std::mem::take(&mut self.scratch.fpmult);
-        fpmult.clear();
-        fpmult.resize(cores, self.cfg.fus.fpmult);
-        let mut mem_issues = std::mem::take(&mut self.scratch.mem_issues);
-        mem_issues.clear();
-        mem_issues.resize(cores, self.cfg.l1d.ports * MEM_ISSUE_PER_PORT);
-
+        // One walk, oldest first. An entry whose core has no bandwidth
+        // left or whose functional-unit pool is empty loses arbitration
+        // and is compacted in place, so the list stays in age order.
+        let mut ready = std::mem::take(&mut self.ready);
+        let mut kept = 0;
+        let mut next = 0;
         let mut units = 0u64;
-        for &(seqno, i, idx) in &candidates {
-            let core = i / per_core;
-            if budget[core] == 0 {
-                continue;
-            }
+        while next < ready.len() && open_cores > 0 {
+            let (seqno, i, idx) = ready[next];
+            next += 1;
             let fu = self.arena.fu(idx);
-            let unit = match fu {
-                FuClass::IntAlu => &mut ialu[core],
-                FuClass::IntMult => &mut imult[core],
-                FuClass::FpAlu => &mut fpalu[core],
-                FuClass::FpMult => &mut fpmult[core],
-                FuClass::Mem => &mut mem_issues[core],
-                FuClass::None => unreachable!("inert entries never enter ready lists"),
-            };
-            if *unit == 0 {
+            let pool = &mut pools[self.slot_core[i]];
+            let class = pool_of(fu);
+            if pool[ISSUE] == 0 || pool[class] == 0 {
+                ready[kept] = (seqno, i, idx);
+                kept += 1;
                 continue;
             }
-            *unit -= 1;
-            budget[core] -= 1;
+            pool[class] -= 1;
+            pool[ISSUE] -= 1;
+            if pool[ISSUE] == 0 {
+                open_cores -= 1;
+            }
             units += 1;
 
             let complete_at = if fu == FuClass::Mem {
                 let addr = self.arena.mem_addr(idx);
-                let access = self.hier.access_data_on(core, addr, self.cycle);
+                let access = self.hier.access_data_on(self.slot_core[i], addr, self.cycle);
                 if self.arena.is_load(idx) {
                     self.observe_load_latency(i, access.latency);
                     self.cycle + access.latency
@@ -993,27 +1072,14 @@ impl Machine {
                 self.cycle + self.arena.latency(idx)
             };
             self.arena.mark_issued(idx, complete_at);
-            self.completions.push(Reverse((complete_at, i, seqno, idx)));
+            self.completions.push(self.cycle + 1, complete_at, (i, idx));
         }
-
-        // Entries that lost arbitration (bandwidth / FU exhausted) stay
-        // ready; drop the issued ones from each touched ready list.
-        let arena = &self.arena;
-        for slot in &mut self.slots {
-            let Some(t) = slot.thread.as_mut() else { continue };
-            if t.ready.is_empty() {
-                continue;
-            }
-            t.ready.retain(|&idx| !arena.is_issued(idx));
-        }
-
-        self.scratch.candidates = candidates;
-        self.scratch.issue_budget = budget;
-        self.scratch.ialu = ialu;
-        self.scratch.imult = imult;
-        self.scratch.fpalu = fpalu;
-        self.scratch.fpmult = fpmult;
-        self.scratch.mem_issues = mem_issues;
+        // Entries past the point where every core ran out stay ready.
+        let rest = ready.len() - next;
+        ready.copy_within(next.., kept);
+        ready.truncate(kept + rest);
+        self.ready = ready;
+        self.scratch.pools = pools;
         if let Some(p) = self.profile.as_deref_mut() {
             p.issue.record(units);
         }
@@ -1057,7 +1123,6 @@ impl Machine {
 
     fn dispatch_stage(&mut self) -> Result<(), SimError> {
         let n = self.slots.len();
-        let per_core = self.per_core();
         let start = (self.cycle as usize) % n.max(1);
         let mut budgets = std::mem::take(&mut self.scratch.budgets);
         budgets.clear();
@@ -1066,12 +1131,17 @@ impl Machine {
         let mut progressed = true;
         while progressed && !self.halted {
             progressed = false;
-            for k in 0..n {
+            let mut next = start;
+            for _ in 0..n {
                 if self.halted {
                     break;
                 }
-                let i = (start + k) % n;
-                let core = i / per_core;
+                let i = next;
+                next += 1;
+                if next == n {
+                    next = 0;
+                }
+                let core = self.slot_core[i];
                 if budgets[core] == 0 {
                     continue;
                 }
@@ -1119,7 +1189,7 @@ impl Machine {
             (f, *self.text.meta(f.pc as usize))
         };
         let is_mem = meta.is_mem();
-        let core = i / self.per_core();
+        let core = self.slot_core[i];
         if self.ruu_used[core] >= self.cfg.ruu_size
             || (is_mem && self.lsq_used[core] >= self.cfg.lsq_size)
         {
@@ -1180,7 +1250,9 @@ impl Machine {
                 self.arena.link_if_pending(p, idx, dslot as u8);
             }
             if self.arena.unready(idx) == 0 {
-                t.ready.push(idx);
+                // The youngest entry of all, so appending keeps age order.
+                debug_assert!(self.ready.last().is_none_or(|&(s, _, _)| s < seqno));
+                self.ready.push((seqno, i, idx));
             }
         }
         if meta.dest_int != NO_REG {
@@ -1363,12 +1435,12 @@ impl Machine {
                     // Prefer a context on the requester's core; a remote
                     // child pays the cross-core register-copy latency the
                     // paper's §5 CMP study sweeps.
-                    let per_core = self.per_core();
-                    let my_core = parent / per_core;
-                    let local =
-                        self.slots.iter().enumerate().position(|(j, s)| {
-                            s.state == SlotState::Free && j / per_core == my_core
-                        });
+                    let my_core = self.slot_core[parent];
+                    let local = self
+                        .slots
+                        .iter()
+                        .zip(&self.slot_core)
+                        .position(|(s, &core)| s.state == SlotState::Free && core == my_core);
                     let (free, extra) = match local {
                         Some(j) => (j, 0),
                         None => (
@@ -1423,19 +1495,19 @@ impl Machine {
 
     fn fetch_stage(&mut self) {
         let now = self.cycle;
-        let per_core = self.per_core();
+        let per_core = self.slots.len() / self.cfg.cores;
         let mut units = 0u64;
         for core in 0..self.cfg.cores {
-            units += self.fetch_core(core * per_core, (core + 1) * per_core, now);
+            units += self.fetch_core(core, core * per_core, (core + 1) * per_core, now);
         }
         if let Some(p) = self.profile.as_deref_mut() {
             p.fetch.record(units);
         }
     }
 
-    /// ICount.4.4 fetch for the slots of one core; returns the number of
-    /// instructions fetched.
-    fn fetch_core(&mut self, lo: usize, hi: usize, now: u64) -> u64 {
+    /// ICount.4.4 fetch for the slots `lo..hi` of `core`; returns the
+    /// number of instructions fetched.
+    fn fetch_core(&mut self, core: usize, lo: usize, hi: usize, now: u64) -> u64 {
         // Pick the fetch_threads least-occupied eligible threads.
         let mut eligible = std::mem::take(&mut self.scratch.eligible);
         eligible.clear();
@@ -1452,7 +1524,6 @@ impl Machine {
         eligible.sort_unstable();
         eligible.truncate(self.cfg.fetch_threads);
 
-        let core = lo / self.per_core();
         let mut total_budget = self.cfg.fetch_width;
         let line_bytes = self.hier.line_bytes();
         let l1i_latency = self.cfg.l1i.latency;
@@ -1575,7 +1646,8 @@ impl WarmMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use capsule_core::config::CacheParams;
+    use capsule_core::config::{CacheParams, FuConfig};
+    use capsule_core::rng::{Rng, Xoshiro256StarStar};
     use capsule_isa::asm::Asm;
     use capsule_isa::program::{DataBuilder, ThreadSpec};
     use capsule_isa::reg::Reg;
@@ -1971,12 +2043,10 @@ mod tests {
         assert_eq!(p.stepped_cycles + p.skipped_cycles, o.stats.cycles);
     }
 
-    #[test]
-    fn fast_forward_skips_memory_stalls_without_changing_the_clock_meaning() {
-        // A pointer-chase of dependent cold loads: the machine spends most
-        // cycles waiting on the 200-cycle memory latency, which the idle
-        // fast-forward should jump over rather than step through.
-        let p = build(
+    /// A pointer-chase of 15 dependent cold loads, each to its own
+    /// 512-byte block, so every load goes to main memory.
+    fn pointer_chase() -> Program {
+        build(
             |a, d| {
                 // Chain: cell[i] holds the address of cell[i+1], strided
                 // a full 512-byte block apart so every load misses L1.
@@ -2000,8 +2070,15 @@ mod tests {
                 a.halt();
             },
             vec![ThreadSpec::at(0)],
-        );
-        let mut m = Machine::new(somt(), &p).unwrap();
+        )
+    }
+
+    #[test]
+    fn fast_forward_skips_memory_stalls_without_changing_the_clock_meaning() {
+        // The machine spends most cycles waiting on the 200-cycle memory
+        // latency, which the idle fast-forward should jump over rather
+        // than step through.
+        let mut m = Machine::new(somt(), &pointer_chase()).unwrap();
         m.enable_profile();
         let o = m.run(1_000_000).unwrap();
         assert_eq!(o.ints(), vec![0]);
@@ -2373,5 +2450,203 @@ mod tests {
             m.snapshot()
         };
         assert_eq!(mk(), mk(), "same state must serialize to the same bytes");
+    }
+
+    /// The issue rule the age-ordered ready list replaced: gather every
+    /// ready entry, sort by age, walk them all, and skip an entry whose
+    /// core has no issue bandwidth left or whose functional-unit pool is
+    /// empty. Returns the sequence numbers issued, in issue order.
+    fn gather_sort_skip(entries: &[(u64, usize, FuClass)], cfg: &MachineConfig) -> Vec<u64> {
+        let per_core = cfg.contexts / cfg.cores;
+        let mut candidates = entries.to_vec();
+        candidates.sort_unstable_by_key(|e| e.0);
+        let mut budget = vec![cfg.issue_width; cfg.cores];
+        let mut ialu = vec![cfg.fus.ialu; cfg.cores];
+        let mut imult = vec![cfg.fus.imult; cfg.cores];
+        let mut fpalu = vec![cfg.fus.fpalu; cfg.cores];
+        let mut fpmult = vec![cfg.fus.fpmult; cfg.cores];
+        let mut mem = vec![cfg.l1d.ports * MEM_ISSUE_PER_PORT; cfg.cores];
+        let mut issued = Vec::new();
+        for &(seq, slot, fu) in &candidates {
+            let core = slot / per_core;
+            if budget[core] == 0 {
+                continue;
+            }
+            let unit = match fu {
+                FuClass::IntAlu => &mut ialu[core],
+                FuClass::IntMult => &mut imult[core],
+                FuClass::FpAlu => &mut fpalu[core],
+                FuClass::FpMult => &mut fpmult[core],
+                FuClass::Mem => &mut mem[core],
+                FuClass::None => unreachable!(),
+            };
+            if *unit == 0 {
+                continue;
+            }
+            *unit -= 1;
+            budget[core] -= 1;
+            issued.push(seq);
+        }
+        issued
+    }
+
+    #[test]
+    fn age_ordered_walk_issues_what_gather_sort_skip_issued() {
+        const CLASSES: [FuClass; 5] =
+            [FuClass::IntAlu, FuClass::IntMult, FuClass::FpAlu, FuClass::FpMult, FuClass::Mem];
+        let mut rng = Xoshiro256StarStar::seed_from_u64(0x15_5e);
+        let (mut early_stops, mut empty_pool_skips) = (0, 0);
+        for trial in 0..600 {
+            let mut cfg = if trial % 2 == 0 { somt() } else { MachineConfig::cmp_somt(2, 4) };
+            cfg.issue_width = 1 + rng.usize_below(8);
+            // Every class but the integer ALU may have an empty pool.
+            cfg.fus = FuConfig {
+                ialu: 1 + rng.usize_below(3),
+                imult: rng.usize_below(3),
+                fpalu: rng.usize_below(3),
+                fpmult: rng.usize_below(3),
+            };
+            cfg.l1d.ports = 1 + rng.usize_below(2);
+            let loaders = (0..cfg.contexts).map(|_| ThreadSpec::at(0)).collect();
+            let p = build(|a, _| a.halt(), loaders);
+            let mut m = Machine::new(cfg.clone(), &p).unwrap();
+
+            // A ready set in age order, as dispatch and wakeups keep it.
+            let mut entries = Vec::new();
+            let mut seq = rng.u64_below(1000);
+            for k in 0..rng.usize_below(40) {
+                seq += 1 + rng.u64_below(4);
+                let slot = rng.usize_below(cfg.contexts);
+                let fu = CLASSES[rng.usize_below(CLASSES.len())];
+                let is_mem = fu == FuClass::Mem;
+                let idx = m.arena.alloc(seq, fu, 1, is_mem && rng.u64_below(2) == 0, is_mem, 0);
+                m.arena.set_mem_addr(idx, capsule_isa::DATA_BASE + 64 * k as u64);
+                m.ready.push((seq, slot, idx));
+                entries.push((seq, slot, fu));
+            }
+
+            let want = gather_sort_skip(&entries, &cfg);
+            m.issue_stage();
+            let left: Vec<u64> = m.ready.iter().map(|e| e.0).collect();
+            let issued: Vec<u64> =
+                entries.iter().map(|e| e.0).filter(|s| !left.contains(s)).collect();
+            assert_eq!(issued, want, "trial {trial}: {cfg:?}");
+            assert!(left.windows(2).all(|w| w[0] < w[1]), "losers keep age order");
+            assert_eq!(m.completions.iter().count(), want.len());
+            let budget = cfg.issue_width * cfg.cores;
+            early_stops += usize::from(want.len() == budget && !left.is_empty());
+            empty_pool_skips += usize::from(want.len() < budget && !left.is_empty());
+        }
+        // The seed reaches both ways an entry can stay behind.
+        assert!(early_stops > 20 && empty_pool_skips > 20, "{early_stops} {empty_pool_skips}");
+    }
+
+    #[test]
+    fn restore_rejects_a_ready_list_naming_an_inert_entry() {
+        let p = checkpoint_workload();
+        let mut m = Machine::new(somt(), &p).unwrap();
+        assert!(m.run_until(100_000, 20).unwrap().is_none());
+        let slot = m.slots.iter().position(|s| s.thread.is_some()).expect("a live thread");
+        let inert = m.arena.alloc(m.seq, FuClass::None, 1, false, false, m.cycle);
+        m.ready.push((m.seq, slot, inert));
+        let blob = m.snapshot();
+        let err = Machine::new(somt(), &p).unwrap().restore_snapshot(&blob).unwrap_err();
+        assert!(
+            matches!(err, SimError::SnapshotMismatch { ref reason } if reason.contains("inert")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn completions_past_the_wheel_survive_checkpoints() {
+        // Thread 0 chases pointers through 16 blocks of main memory, 1000
+        // cycles away, and halts once the chase ends; the exit branch
+        // waits for the last load. Thread 1 spins meanwhile, so no cycle
+        // is skipped and pauses land while a load is in flight.
+        let p = build(
+            |a, d| {
+                d.align(8);
+                let base = d.here();
+                let stride = 64 * 8u64;
+                for i in 0..16u64 {
+                    let mut block = [0i64; 64];
+                    if i < 15 {
+                        block[0] = (base + (i + 1) * stride) as i64;
+                    }
+                    d.words(&block);
+                }
+                a.tid(Reg(5));
+                a.bne(Reg(5), Reg::ZERO, "spin");
+                a.li(Reg(1), base as i64);
+                a.bind("chase");
+                a.ld(Reg(1), 0, Reg(1));
+                a.bne(Reg(1), Reg::ZERO, "chase");
+                a.out(Reg(1));
+                a.halt();
+                a.bind("spin");
+                a.addi(Reg(4), Reg(4), 1);
+                a.j("spin");
+            },
+            vec![ThreadSpec::at(0), ThreadSpec::at(0)],
+        );
+        let cfg = MachineConfig { mem_latency: 1000, ..somt() };
+        let profiled = || {
+            let mut m = Machine::new(cfg.clone(), &p).unwrap();
+            m.enable_profile();
+            m.enable_trace(4096);
+            m
+        };
+        let straight = profiled().run(1_000_000).unwrap();
+        assert!(straight.cycles() > 15 * 1000, "the chase waits on memory: {}", straight.cycles());
+
+        let mut m = profiled();
+        let (mut pause, mut parked_far) = (0, 0);
+        let outcome = loop {
+            match m.run_until(1_000_000, pause).unwrap() {
+                Some(o) => break o,
+                None => {
+                    let far = m.cycle + crate::wheel::SPOKES as u64;
+                    let arena = &m.arena;
+                    parked_far +=
+                        usize::from(m.completions.iter().any(|(_, i)| arena.complete_at(i) >= far));
+                    let blob = m.snapshot();
+                    let mut next = Machine::new(cfg.clone(), &p).unwrap();
+                    next.restore_snapshot(&blob).unwrap();
+                    assert_eq!(next.snapshot(), blob, "restore must re-file every event");
+                    m = next;
+                    pause += 97;
+                }
+            }
+        };
+        assert!(parked_far > 20, "only {parked_far} pauses held an overflowed event");
+        assert_eq!(outcome, straight);
+    }
+
+    #[test]
+    fn stage_times_follow_the_profile_switch() {
+        let p = checkpoint_workload();
+        let profiled = || {
+            let mut m = Machine::new(somt(), &p).unwrap();
+            m.enable_profile();
+            m
+        };
+        let mut m = Machine::new(somt(), &p).unwrap();
+        m.run(100_000).unwrap();
+        assert_eq!(m.stage_times(), None, "no host timing while the profile is off");
+
+        let mut m = profiled();
+        let o = m.run(100_000).unwrap();
+        let t = m.stage_times().expect("profile on");
+        assert!(t.stages().iter().all(|(_, d)| !d.is_zero()), "{t:?}");
+        // Host time is not part of the outcome: two runs still compare
+        // equal.
+        assert_eq!(o, profiled().run(100_000).unwrap());
+
+        // Nor of a snapshot: a restored machine starts from zero.
+        let mut m = profiled();
+        assert!(m.run_until(100_000, 40).unwrap().is_none());
+        let blob = m.snapshot();
+        m.restore_snapshot(&blob).unwrap();
+        assert_eq!(m.stage_times(), Some(StageTimes::default()));
     }
 }

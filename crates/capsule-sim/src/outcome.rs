@@ -1,5 +1,7 @@
 //! Run results and errors of the cycle-level machine.
 
+use std::time::Duration;
+
 use capsule_core::codec::{CodecError, Reader, Writer};
 use capsule_core::output::Json;
 use capsule_core::stats::{DivisionTree, SectionTracker, SimStats};
@@ -154,7 +156,7 @@ pub struct StageProfile {
     pub dispatch: StageCount,
     /// Issue-stage work.
     pub issue: StageCount,
-    /// Complete-stage work (entries leaving the event heap).
+    /// Complete-stage work (entries leaving the completion wheel).
     pub complete: StageCount,
     /// Commit-stage work.
     pub commit: StageCount,
@@ -187,6 +189,61 @@ impl StageProfile {
             .push("fast_forwards", self.fast_forwards)
             .push("skipped_cycles", self.skipped_cycles);
         o
+    }
+}
+
+/// Host time spent in each pipeline stage while the stage profile is
+/// on, read with [`Machine::stage_times`](crate::Machine::stage_times)
+/// (an estimate from a sample of the stepped cycles).
+/// It measures the simulator, not the simulated machine, and differs
+/// from run to run, so it is kept out of [`StageProfile`], out of
+/// [`SimOutcome`] and out of snapshots. Time outside the five stages
+/// (state expiry, the swap check, fast-forward, run-loop bookkeeping) is
+/// not charged to any of them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StageTimes {
+    /// Fetch stage.
+    pub fetch: Duration,
+    /// Dispatch stage (including functional execution).
+    pub dispatch: Duration,
+    /// Issue stage (including data-cache accesses).
+    pub issue: Duration,
+    /// Complete stage (completion events and wakeups).
+    pub complete: Duration,
+    /// Commit stage.
+    pub commit: Duration,
+}
+
+impl StageTimes {
+    /// The five stages as `(name, time)`, in pipeline order.
+    pub fn stages(&self) -> [(&'static str, Duration); 5] {
+        [
+            ("fetch", self.fetch),
+            ("dispatch", self.dispatch),
+            ("issue", self.issue),
+            ("complete", self.complete),
+            ("commit", self.commit),
+        ]
+    }
+
+    /// Every stage's time multiplied by `k`.
+    pub(crate) fn scaled(self, k: u32) -> StageTimes {
+        StageTimes {
+            fetch: self.fetch * k,
+            dispatch: self.dispatch * k,
+            issue: self.issue * k,
+            complete: self.complete * k,
+            commit: self.commit * k,
+        }
+    }
+
+    /// Adds `other`'s times stage by stage.
+    pub fn add(&mut self, other: &StageTimes) {
+        self.fetch += other.fetch;
+        self.dispatch += other.dispatch;
+        self.issue += other.issue;
+        self.complete += other.complete;
+        self.commit += other.commit;
     }
 }
 

@@ -127,11 +127,6 @@ pub(crate) struct Thread {
     pub bp_history: u64,
     /// Arena indices of in-flight entries, in program order.
     pub in_flight: VecDeque<u32>,
-    /// Arena indices of in-flight entries whose operands are all
-    /// complete but which have not issued yet (waiting for issue
-    /// bandwidth or a functional unit). Maintained by the wakeup chains;
-    /// an entry enters exactly once.
-    pub ready: Vec<u32>,
     /// Per-register last writer (renaming). Generation-checked: a
     /// reference whose entry retired reads as complete.
     pub last_writer_int: [Option<EntryRef>; 32],
@@ -159,7 +154,6 @@ impl Thread {
             fetch_queue: VecDeque::new(),
             bp_history: 0,
             in_flight: VecDeque::new(),
-            ready: Vec::new(),
             last_writer_int: [None; 32],
             last_writer_fp: [None; 32],
             dispatch_block_until: 0,
@@ -180,8 +174,10 @@ impl Thread {
         self.fetch_pc = None;
     }
 
-    /// Serializes the complete thread image for checkpoints.
-    pub fn encode(&self, w: &mut Writer) {
+    /// Serializes the complete thread image for checkpoints. `ready`
+    /// holds the thread's entries from the machine's ready list, oldest
+    /// first.
+    pub fn encode(&self, w: &mut Writer, ready: &[u32]) {
         self.arch.encode(w);
         w.opt_u64(self.fetch_pc.map(u64::from));
         w.usize(self.fetch_queue.len());
@@ -194,8 +190,8 @@ impl Thread {
         for &idx in &self.in_flight {
             w.u32(idx);
         }
-        w.usize(self.ready.len());
-        for &idx in &self.ready {
+        w.usize(ready.len());
+        for &idx in ready {
             w.u32(idx);
         }
         for table in [&self.last_writer_int, &self.last_writer_fp] {
@@ -215,14 +211,14 @@ impl Thread {
         w.u32(self.locks_held);
     }
 
-    /// Inverse of [`Thread::encode`]; `arena_len` bounds the window
-    /// indices the thread may reference.
+    /// Inverse of [`Thread::encode`]: the thread and its ready entries.
+    /// `arena_len` bounds the window indices the thread may reference.
     ///
     /// # Errors
     ///
     /// [`CodecError`] on truncated or ill-formed input (dangling arena
     /// indices, oversized queues).
-    pub fn decode(r: &mut Reader<'_>, arena_len: usize) -> Result<Thread, CodecError> {
+    pub fn decode(r: &mut Reader<'_>, arena_len: usize) -> Result<(Thread, Vec<u32>), CodecError> {
         let arch = ArchState::decode(r)?;
         let fetch_pc = match r.opt_u64()? {
             None => None,
@@ -267,20 +263,20 @@ impl Thread {
                 };
             }
         }
-        Ok(Thread {
+        let thread = Thread {
             arch,
             fetch_pc,
             fetch_queue,
             bp_history,
             in_flight,
-            ready,
             last_writer_int,
             last_writer_fp,
             dispatch_block_until: r.u64()?,
             fetch_block_until: r.u64()?,
             slow_counter: r.i64()?,
             locks_held: r.u32()?,
-        })
+        };
+        Ok((thread, ready))
     }
 }
 

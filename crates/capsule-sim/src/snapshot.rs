@@ -2,14 +2,14 @@
 //!
 //! A snapshot captures the complete machine state at a cycle boundary —
 //! arena columns, per-context architectural and rename state, RUU/LSQ
-//! occupancy, the completion event heap, predictor tables, the lock
-//! table, the LIFO context stack, cache and memory contents, the
-//! division-policy death window, and all statistics — so that
-//! `restore` + `run` is cycle-for-cycle identical to an uninterrupted
-//! run. The blob is self-describing: a fixed header carries a magic
-//! word, the format version, and an FNV hash of the machine
-//! configuration and the loaded program, so a blob can only be restored
-//! into a machine prepared with the same config and program.
+//! occupancy, the ready list, the pending completion events, predictor
+//! tables, the lock table, the LIFO context stack, cache and memory
+//! contents, the division-policy death window, and all statistics — so
+//! that `restore` + `run` is cycle-for-cycle identical to an
+//! uninterrupted run. The blob is self-describing: a fixed header
+//! carries a magic word, the format version, and an FNV hash of the
+//! machine configuration and the loaded program, so a blob can only be
+//! restored into a machine prepared with the same config and program.
 //!
 //! Layout: `MAGIC (u64) | FORMAT_VERSION (u32) | sig (u64) | body`.
 //! The body is the machine's field-by-field encoding (see
