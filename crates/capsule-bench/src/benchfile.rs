@@ -1,12 +1,11 @@
-//! Shared machinery for the tracked benchmark files (`BENCH_sim.json`,
-//! `BENCH_serve.json`): reading entry fields back out of a previous run
-//! and the `--compare` regression gate.
+//! Machinery for the tracked benchmark file (`BENCH_sim.json`): reading
+//! entry fields back out of a previous run, refusing a baseline taken
+//! with another worker count, and the `--compare` regression gate.
 //!
-//! Every tracked bench file shares the same envelope — a `schema` tag
-//! and an `entries` array whose rows are keyed by `entry` — so the
-//! baseline/compare plumbing lives here once and the binaries
-//! (`bench_sim`, `bench_serve`) only decide which field gates and what
-//! unit label the table prints.
+//! A bench file is a `schema` tag, a top-level `workers` count (absent
+//! from `--deterministic` files) and an `entries` array whose rows are
+//! keyed by `entry`; the binary decides which field gates and what unit
+//! label the table prints.
 
 use capsule_core::output::Json;
 
@@ -19,9 +18,7 @@ use capsule_core::output::Json;
 /// without timing fields) are silently skipped, matching the compare
 /// gate's treatment of new entries.
 pub fn try_read_entry_field(path: &str, field: &str) -> Result<Vec<(String, f64)>, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read baseline {path}: {e}"))?;
-    let json = Json::parse(&text).map_err(|e| format!("baseline {path} is not valid JSON: {e}"))?;
+    let json = read_baseline(path)?;
     let mut map = Vec::new();
     if let Some(entries) = json.get("entries").and_then(Json::as_array) {
         for e in entries {
@@ -33,6 +30,30 @@ pub fn try_read_entry_field(path: &str, field: &str) -> Result<Vec<(String, f64)
         }
     }
     Ok(map)
+}
+
+fn read_baseline(path: &str) -> Result<Json, String> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read baseline {path}: {e}"))?;
+    Json::parse(&text).map_err(|e| format!("baseline {path} is not valid JSON: {e}"))
+}
+
+/// Checks that the baseline at `path` was measured with `workers`
+/// workers: throughput at one worker count says nothing about another.
+/// A baseline that records no count (a `--deterministic` file) passes.
+///
+/// # Errors
+///
+/// A human-readable message when the counts differ or the file is
+/// unreadable or not valid JSON.
+pub fn check_workers(path: &str, workers: usize) -> Result<(), String> {
+    match read_baseline(path)?.get("workers").and_then(Json::as_u64) {
+        Some(recorded) if recorded != workers as u64 => Err(format!(
+            "baseline {path} was measured with {recorded} worker(s), this run uses {workers}; \
+             set CAPSULE_BENCH_WORKERS={recorded} or measure a new baseline"
+        )),
+        _ => Ok(()),
+    }
 }
 
 /// [`try_read_entry_field`] for the binaries: prints the error and exits
@@ -114,13 +135,13 @@ mod tests {
     fn entry_fields_read_back_and_missing_fields_are_skipped() {
         let path = scratch(
             "read",
-            r#"{"schema":"capsule-bench-serve/1","entries":[
-                {"entry":"a","throughput_rps":120.5},
+            r#"{"schema":"capsule-bench-sim/1","entries":[
+                {"entry":"a","sim_cycles_per_sec":120.5},
                 {"entry":"b"},
-                {"entry":"c","throughput_rps":7}
+                {"entry":"c","sim_cycles_per_sec":7}
             ]}"#,
         );
-        let got = try_read_entry_field(path.to_str().expect("utf8 path"), "throughput_rps")
+        let got = try_read_entry_field(path.to_str().expect("utf8 path"), "sim_cycles_per_sec")
             .expect("readable");
         assert_eq!(got, vec![("a".to_string(), 120.5), ("c".to_string(), 7.0)]);
         let _ = std::fs::remove_file(&path);
@@ -134,6 +155,20 @@ mod tests {
         let bad = try_read_entry_field(path.to_str().expect("utf8 path"), "x");
         assert!(bad.is_err_and(|e| e.contains("not valid JSON")));
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_baseline_from_another_worker_count_is_refused() {
+        let path = scratch("workers", r#"{"workers":2,"entries":[]}"#);
+        let p = path.to_str().expect("utf8 path");
+        assert_eq!(check_workers(p, 2), Ok(()));
+        assert!(check_workers(p, 1).is_err_and(|e| e.contains("measured with 2 worker(s)")));
+        let _ = std::fs::remove_file(&path);
+        // A deterministic file records no count and gates nothing.
+        let path = scratch("no-workers", r#"{"entries":[]}"#);
+        assert_eq!(check_workers(path.to_str().expect("utf8 path"), 1), Ok(()));
+        let _ = std::fs::remove_file(&path);
+        assert!(check_workers("/nonexistent/benchfile.json", 1).is_err());
     }
 
     #[test]

@@ -14,6 +14,10 @@
 //!           [--reports DIR] [--deterministic] [--trace-export DIR]
 //! ```
 //!
+//! - The file records the batch runner's worker count as a top-level
+//!   `workers` (outside `--deterministic`; `CAPSULE_BENCH_WORKERS` sets
+//!   it, host parallelism otherwise). `--baseline` and `--compare` exit
+//!   2 on a baseline that recorded a different count.
 //! - `--baseline PATH` folds a previous `BENCH_sim.json` in: each entry
 //!   gains `baseline_wall_ms` and `speedup` (baseline / current).
 //! - `--compare PATH` gates on a previous `BENCH_sim.json`: prints a
@@ -43,7 +47,7 @@
 
 use std::time::{Duration, Instant};
 
-use capsule_bench::benchfile::{compare_field, read_entry_field, round3};
+use capsule_bench::benchfile::{check_workers, compare_field, read_entry_field, round3};
 use capsule_bench::catalog::{self, Scale};
 use capsule_bench::trace_export::export_batch;
 use capsule_bench::{BatchRunner, RunOptions, Scenario, BUDGET};
@@ -183,6 +187,12 @@ fn parse_args() -> Args {
 fn main() {
     let args = parse_args();
     let runner = BatchRunner::from_env();
+    for path in [&args.baseline, &args.compare].into_iter().flatten() {
+        if let Err(e) = check_workers(path, runner.workers()) {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
+    }
     let mut results: Vec<EntryResult> = Vec::new();
     let mut warm = WarmMachine::new();
 
@@ -262,6 +272,9 @@ fn main() {
     let mut root = Json::object();
     root.push("schema", "capsule-bench-sim/1");
     root.push("scale", args.scale.name());
+    if !args.deterministic {
+        root.push("workers", runner.workers());
+    }
     let mut rows = Vec::with_capacity(results.len());
     let mut total_wall = 0.0;
     let mut improved = 0usize;

@@ -110,7 +110,8 @@ pub fn find(name: &str) -> Option<&'static CatalogEntry> {
 
 /// Names of every catalog entry, in the paper's figure/table order — the
 /// canonical job list for server and fleet smoke sweeps (`capsule-loadgen`
-/// and the CI fleet smoke test drive exactly this list at smoke scale).
+/// cycles through it, and the fleet-vs-direct-server parity test drives
+/// exactly this list at smoke scale).
 pub fn names() -> Vec<&'static str> {
     ENTRIES.iter().map(|e| e.name).collect()
 }

@@ -1,9 +1,9 @@
 //! End-to-end fleet tests: in-process [`capsule_serve::Server`] backends
 //! plus an in-process [`Fleet`] coordinator, driven over real TCP.
 //!
-//! Job mixes stick to the *fast* smoke-scale catalog entries (the full
-//! catalog spans 0.1s–10s per smoke job in a debug build; CI's release
-//! fleet smoke run covers the full sweep). The mid-flight-kill test uses
+//! Job mixes stick to the *fast* smoke-scale catalog entries, except
+//! the fleet-vs-direct parity test, which sweeps the whole catalog at
+//! smoke scale (a few seconds in a debug build). The mid-flight-kill test uses
 //! `ablation_policies` (a few seconds at smoke scale) so the job is
 //! reliably still running when its backend dies, and full-scale
 //! `fig6_division_tree` (minutes, but promptly cancellable) where a job
@@ -145,11 +145,11 @@ fn busy_backend(fleet: &Fleet) -> Option<String> {
     })
 }
 
-/// Runs the fast scenarios through the fleet; every job must succeed.
-/// Returns scenario -> compact report rendering.
-fn run_fast_batch(fleet: &Fleet) -> BTreeMap<String, String> {
+/// Runs `scenarios` through the fleet; every job must succeed. Returns
+/// scenario -> compact report rendering.
+fn run_batch(fleet: &Fleet, scenarios: &[&str]) -> BTreeMap<String, String> {
     let mut reports = BTreeMap::new();
-    for scenario in FAST_SCENARIOS {
+    for scenario in scenarios {
         let reply = request(fleet, &run_line(scenario));
         assert!(ok(&reply), "{scenario} failed: {}", reply.to_string_compact());
         assert!(reply.get("backend").and_then(Json::as_str).is_some(), "backend attribution");
@@ -167,18 +167,46 @@ fn fleet_reports_are_byte_identical_to_a_direct_server() {
     let reference = start_backend();
 
     wait_for("both backends alive", || backends_alive(&fleet) == 2);
-    let via_fleet = run_fast_batch(&fleet);
-
-    for (scenario, fleet_report) in &via_fleet {
-        let direct = request_once(&reference.local_addr().to_string(), &run_line(scenario))
-            .expect("direct request");
-        assert!(ok(&direct), "{scenario} failed directly: {}", direct.to_string_compact());
+    let catalog = capsule_bench::catalog::names();
+    let reference_addr = reference.local_addr().to_string();
+    // The direct sweep runs beside the fleet's.
+    let (via_fleet, direct) = std::thread::scope(|s| {
+        let direct = s.spawn(|| {
+            catalog
+                .iter()
+                .map(|scenario| {
+                    let reply =
+                        request_once(&reference_addr, &run_line(scenario)).expect("direct request");
+                    assert!(
+                        ok(&reply),
+                        "{scenario} failed directly: {}",
+                        reply.to_string_compact()
+                    );
+                    reply.get("report").map(Json::to_string_compact).expect("report")
+                })
+                .collect::<Vec<_>>()
+        });
+        (run_batch(&fleet, &catalog), direct.join().expect("direct sweep"))
+    });
+    assert_eq!(via_fleet.len(), catalog.len());
+    for (scenario, direct_report) in catalog.iter().zip(&direct) {
         assert_eq!(
-            direct.get("report").map(Json::to_string_compact).as_deref(),
-            Some(fleet_report.as_str()),
+            &via_fleet[*scenario], direct_report,
             "{scenario}: fleet and direct reports must render byte-identically"
         );
     }
+
+    // A replay through the fleet is answered from its backend's cache,
+    // with the same bytes.
+    let last = catalog.last().expect("a non-empty catalog");
+    let replay = request(&fleet, &run_line(last));
+    assert!(ok(&replay), "{last} replay failed: {}", replay.to_string_compact());
+    assert_eq!(replay.get("cache_hit").and_then(Json::as_bool), Some(true), "{last} replay");
+    assert_eq!(
+        replay.get("report").map(Json::to_string_compact).as_deref(),
+        Some(via_fleet[*last].as_str()),
+        "{last}: the cached report differs from the first answer"
+    );
 
     fleet.shutdown();
     reference.shutdown();
@@ -197,7 +225,7 @@ fn killing_a_backend_mid_batch_loses_no_jobs() {
     wait_for("both backends alive", || backends_alive(&fleet) == 2);
 
     // Phase 1: a healthy-fleet batch pins the expected report bytes.
-    let before = run_fast_batch(&fleet);
+    let before = run_batch(&fleet, FAST_SCENARIOS);
 
     // A slow job, dispatched and observed in flight; then its backend is
     // killed under it. Backend index is the digit in the reported name
@@ -223,7 +251,7 @@ fn killing_a_backend_mid_batch_loses_no_jobs() {
 
     // Phase 2: the same batch on the crippled fleet — every job still
     // completes, with byte-identical reports.
-    let after = run_fast_batch(&fleet);
+    let after = run_batch(&fleet, FAST_SCENARIOS);
     assert_eq!(before, after, "reports must be unchanged by the backend loss");
 
     let s = stats(&fleet);

@@ -1,44 +1,25 @@
-//! Deterministic load generator for `capsule-serve` and `capsule-fleet`.
+//! Closed-loop load generator for `capsule-serve` and `capsule-fleet`.
 //!
 //! Usage: `capsule-loadgen ADDR [--jobs N] [--threads T] [--fleet]
-//!         [--proto v1|v2] [--open-loop RATE] [--zipf S] [--seed N]
-//!         [--deterministic] [--parity ADDR2] [--trace] [--scrape FILE]
-//!         [--preempt-rate N] [--fuzz N]`
+//!         [--proto v1|v2] [--trace] [--scrape FILE] [--preempt-rate N]`
 //!
 //! Fires N `run` requests (default 12) from T keep-alive connections
 //! (default 4), cycling the full scenario catalog at smoke scale, and
 //! classifies each response as ok / queue-full / error. Queue-full
 //! rejections are an expected outcome of backpressure, not a failure.
+//! Two answers for the same scenario must carry the same report bytes.
 //! The end-of-run summary includes the observed p50/p90/p99 request
 //! latency (power-of-two bucket upper bounds from
-//! `capsule_core::stats::Histogram`).
+//! `capsule_core::stats::Histogram`). Exits nonzero if any request
+//! errored.
 //!
-//! `--proto v1|v2` selects the wire protocol (default v1); v2 uses the
-//! framed pipelined `capsule-serve/2` (docs/SERVER.md).
-//!
-//! `--open-loop RATE` switches from the closed loop above to Poisson
-//! arrivals at RATE requests/second, with scenario popularity drawn
-//! from a Zipf distribution (`--zipf S`, default 0 = uniform), seeded
-//! by `--seed` (default 1). Offered load is then independent of server
-//! completions — the shape that actually provokes queue-full
-//! backpressure. `--deterministic` drops pacing and timing from the run
-//! and the summary, leaving only counts and the order-insensitive
-//! report digest, so two runs of one seed print byte-identical
-//! summaries (CI compares them, over both protocols).
-//!
-//! Every flag in this paragraph has a `CAPSULE_LOADGEN_*` environment
-//! equivalent (`PROTO`, `OPEN_LOOP`, `ZIPF`, `SEED`) read through the
-//! warn-on-malformed parser in [`capsule_serve::env`]; explicit flags
-//! win over the environment.
+//! `--proto v1|v2` selects the wire protocol (default v1, or
+//! `CAPSULE_LOADGEN_PROTO` read through the warn-on-malformed parser in
+//! [`capsule_serve::env`]); v2 uses the framed pipelined
+//! `capsule-serve/2` (docs/SERVER.md).
 //!
 //! `--fleet` sizes the batch to exactly one job per catalog entry (the
 //! canonical fleet smoke sweep) unless `--jobs` is given explicitly.
-//! `--parity ADDR2` then replays every distinct scenario of the batch
-//! against a second endpoint and requires each report to be
-//! byte-identical — the fleet-vs-direct-server determinism check CI
-//! runs. Afterwards one scenario is replayed on a fresh connection to
-//! assert the second response is a cache hit carrying a byte-identical
-//! report. Exits nonzero if any request errored or a check failed.
 //!
 //! `--trace` attaches a `trace_id` (`lg-<job>`) to every request and
 //! names the p99-tail jobs' trace ids in the latency summary, so the
@@ -66,15 +47,6 @@
 //! already resumed. Requires checkpointing enabled on the backends
 //! (`CAPSULE_SERVE_CHECKPOINT_CYCLES`); without it the preempts answer
 //! `not-running` and the jobs simply complete.
-//!
-//! `--fuzz N` switches to the differential fuzz phase instead of the
-//! catalog mix: N `fuzz_gen` jobs with seeded machine-config overrides
-//! are sent to the endpoint, while the *same* scenario batch is executed
-//! in-process with the same overrides; the server's report must be
-//! byte-identical to the local run, the second submission of each job
-//! must be a cache hit with identical bytes, and one job runs under a
-//! preempt sidecar so a checkpointed/resumed server run is compared
-//! against the uninterrupted local one (docs/FUZZ.md).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -87,7 +59,6 @@ use capsule_core::rng::{Rng, Xoshiro256StarStar};
 use capsule_core::stats::Histogram;
 use capsule_serve::client::{request_once, Connection, Proto};
 use capsule_serve::env::env_parsed;
-use capsule_serve::load::{self, DriveOptions};
 use capsule_serve::protocol::{cache_key, Request};
 
 fn main() {
@@ -95,25 +66,18 @@ fn main() {
     let Some(addr) = args.next() else {
         eprintln!(
             "usage: capsule-loadgen ADDR [--jobs N] [--threads T] [--fleet] [--proto v1|v2] \
-             [--open-loop RATE] [--zipf S] [--seed N] [--deterministic] [--parity ADDR2] \
-             [--trace] [--scrape FILE] [--preempt-rate N] [--fuzz N]"
+             [--trace] [--scrape FILE] [--preempt-rate N]"
         );
         std::process::exit(2);
     };
     let mut jobs: Option<usize> = None;
     let mut threads = 4usize;
     let mut fleet = false;
-    let mut parity: Option<String> = None;
     let mut trace = false;
     let mut scrape: Option<String> = None;
     let mut preempt_rate = 0usize;
-    let mut fuzz = 0usize;
-    // Environment defaults (warn-on-malformed); flags override below.
+    // The environment default (warn-on-malformed); the flag overrides it.
     let mut proto: Proto = env_parsed("CAPSULE_LOADGEN_PROTO", Proto::V1);
-    let mut open_loop: f64 = env_parsed("CAPSULE_LOADGEN_OPEN_LOOP", 0.0);
-    let mut zipf: f64 = env_parsed("CAPSULE_LOADGEN_ZIPF", 0.0);
-    let mut seed: u64 = env_parsed("CAPSULE_LOADGEN_SEED", 1);
-    let mut deterministic = false;
     while let Some(arg) = args.next() {
         let mut value = || {
             args.next().unwrap_or_else(|| {
@@ -124,12 +88,6 @@ fn main() {
         let int = |v: String, what: &str| {
             v.parse::<usize>().unwrap_or_else(|_| {
                 eprintln!("{what} expects an integer, got {v:?}");
-                std::process::exit(2);
-            })
-        };
-        let float = |v: String, what: &str| {
-            v.parse::<f64>().unwrap_or_else(|_| {
-                eprintln!("{what} expects a number, got {v:?}");
                 std::process::exit(2);
             })
         };
@@ -144,33 +102,14 @@ fn main() {
                     std::process::exit(2);
                 });
             }
-            "--open-loop" => open_loop = float(value(), "--open-loop"),
-            "--zipf" => zipf = float(value(), "--zipf"),
-            "--seed" => seed = int(value(), "--seed") as u64,
-            "--deterministic" => deterministic = true,
-            "--parity" => parity = Some(value()),
             "--trace" => trace = true,
             "--scrape" => scrape = Some(value()),
             "--preempt-rate" => preempt_rate = int(value(), "--preempt-rate"),
-            "--fuzz" => fuzz = int(value(), "--fuzz").max(1),
             other => {
                 eprintln!("unknown argument {other:?}");
                 std::process::exit(2);
             }
         }
-    }
-    if fuzz > 0 {
-        if !fuzz_phase(&addr, fuzz) {
-            std::process::exit(1);
-        }
-        return;
-    }
-    if open_loop > 0.0 {
-        let n = jobs.unwrap_or(64);
-        if !open_loop_phase(&addr, n, threads, proto, open_loop, zipf, seed, deterministic) {
-            std::process::exit(1);
-        }
-        return;
     }
     // The job mix is the catalog itself, in figure/table order, at smoke
     // scale: every endpoint smoke sweep exercises every entry.
@@ -291,126 +230,9 @@ fn main() {
         s.finish();
     }
 
-    let mut failed = errors.load(Ordering::Relaxed) > 0;
-    failed |= !check_cache_identity(&addr);
-    if let Some(other) = &parity {
-        failed |= !check_parity(&reports.lock().unwrap(), other);
-    }
-    if failed {
+    if errors.load(Ordering::Relaxed) > 0 {
         std::process::exit(1);
     }
-}
-
-/// The differential fuzz phase (`--fuzz N`): seeded `fuzz_gen` jobs
-/// with machine-config overrides, each executed both through the
-/// endpoint and in-process with the identical scenario batch. Checks,
-/// per job: the server report is byte-identical to the local run, and a
-/// resubmission is a cache hit carrying the same bytes. Job 1 (when
-/// `n >= 2`) additionally runs under a preempt sidecar, so a server run
-/// that parks at a checkpoint and resumes must still match the local
-/// uninterrupted execution.
-fn fuzz_phase(addr: &str, n: usize) -> bool {
-    use capsule_bench::catalog::Scale;
-    use capsule_core::config::DivisionMode;
-    use capsule_serve::ConfigOverrides;
-
-    let entry = catalog::find("fuzz_gen").expect("fuzz_gen catalog entry exists");
-    let runner = capsule_bench::BatchRunner::with_workers(2);
-    let preempted = AtomicUsize::new(0);
-    let mut failures = 0usize;
-
-    for i in 0..n {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(0xf0_22ed ^ i as u64);
-        // Contexts never drop below 4 so static-variant fuzz programs
-        // (at most 4 loader threads) still boot everywhere.
-        let contexts = [4usize, 6, 8][rng.u64_below(3) as usize];
-        let (mode_name, mode) = [
-            ("greedy_throttled", DivisionMode::GreedyThrottled),
-            ("greedy", DivisionMode::Greedy),
-            ("never", DivisionMode::Never),
-        ][rng.u64_below(3) as usize];
-        let death_window = [16u64, 64, 128][rng.u64_below(3) as usize];
-        let overrides = ConfigOverrides {
-            contexts: Some(contexts),
-            death_window: Some(death_window),
-            swap_counter_threshold: None,
-            division_mode: Some(mode),
-        };
-
-        let mut cfg = Json::object();
-        cfg.push("contexts", contexts)
-            .push("death_window", death_window)
-            .push("division_mode", mode_name);
-        let mut req = Json::object();
-        req.push("op", "run")
-            .push("scenario", "fuzz_gen")
-            .push("scale", "smoke")
-            .push("config", cfg);
-        let line = req.to_string_compact();
-
-        // The local truth: the same batch the server will build, run
-        // in-process with the same overrides.
-        let mut scenarios = entry.scenarios(Scale::Smoke);
-        for sc in &mut scenarios {
-            overrides.apply(&mut sc.config);
-        }
-        let local = runner.run(entry.title, scenarios).to_json().to_string_compact();
-
-        let result = if i == 1 {
-            run_with_preempt(addr, &line, &preempted)
-        } else {
-            request_once(addr, &line).map_err(|e| e.to_string())
-        };
-        let tag = format!("fuzz job {i} (contexts {contexts}, {mode_name}, dw {death_window})");
-        let server = match result {
-            Ok(json) if json.get("ok").and_then(Json::as_bool) == Some(true) => json,
-            Ok(json) => {
-                eprintln!("{tag}: server error: {}", json.to_string_compact());
-                failures += 1;
-                continue;
-            }
-            Err(e) => {
-                eprintln!("{tag}: transport error: {e}");
-                failures += 1;
-                continue;
-            }
-        };
-        let server_report = server.get("report").map(Json::to_string_compact);
-        if server_report.as_deref() != Some(local.as_str()) {
-            eprintln!("{tag}: server report differs from the in-process run");
-            failures += 1;
-            continue;
-        }
-        // Resubmission must be answered from the cache, byte-identically.
-        match request_once(addr, &line) {
-            Ok(again) if again.get("ok").and_then(Json::as_bool) == Some(true) => {
-                if again.get("cache_hit").and_then(Json::as_bool) != Some(true) {
-                    eprintln!("{tag}: resubmission was not a cache hit");
-                    failures += 1;
-                } else if again.get("report").map(Json::to_string_compact).as_deref()
-                    != Some(local.as_str())
-                {
-                    eprintln!("{tag}: cached report differs from the in-process run");
-                    failures += 1;
-                }
-            }
-            Ok(json) => {
-                eprintln!("{tag}: resubmission failed: {}", json.to_string_compact());
-                failures += 1;
-            }
-            Err(e) => {
-                eprintln!("{tag}: resubmission transport error: {e}");
-                failures += 1;
-            }
-        }
-    }
-    println!(
-        "fuzz phase: {}/{n} jobs byte-identical to in-process runs ({} preempted-and-resumed){}",
-        n - failures,
-        preempted.load(Ordering::Relaxed),
-        if failures == 0 { "" } else { " [FAILED]" }
-    );
-    failures == 0
 }
 
 fn run_line(scenario: &str) -> String {
@@ -444,59 +266,6 @@ fn request_keepalive(
             Ok(json)
         }
     }
-}
-
-/// The open-loop mode (`--open-loop RATE`): a seeded Poisson/Zipf
-/// schedule over the catalog, replayed by [`capsule_serve::load`].
-/// Returns false when any job hit a transport or structured error
-/// (queue-full rejections are backpressure working, not failures).
-#[allow(clippy::too_many_arguments)]
-fn open_loop_phase(
-    addr: &str,
-    jobs: usize,
-    threads: usize,
-    proto: Proto,
-    rate: f64,
-    zipf: f64,
-    seed: u64,
-    deterministic: bool,
-) -> bool {
-    let mix: Vec<&'static str> = catalog::names();
-    let plan = load::schedule(seed, jobs, rate, zipf, mix.len());
-    let lines: Vec<String> = plan.iter().map(|j| run_line(mix[j.scenario_index])).collect();
-    let options = DriveOptions { proto, connections: threads, deterministic, read_timeout: None };
-    let outcome = match load::drive(addr, &plan, &lines, &options) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("open-loop: cannot connect to {addr}: {e}");
-            return false;
-        }
-    };
-    if deterministic {
-        // Counts and digest only — byte-identical across runs of one
-        // seed (cache hits are excluded: a warmed server answers more
-        // of them without changing the work's bytes).
-        println!(
-            "open-loop[deterministic]: {} ok, {} queue-full, {} errors over {} jobs ({proto}, \
-             seed {seed}, zipf {zipf}) digest={:016x}",
-            outcome.ok, outcome.queue_full, outcome.errors, jobs, outcome.report_digest
-        );
-    } else {
-        let wall_s = outcome.wall.as_secs_f64().max(1e-9);
-        println!(
-            "open-loop: {} ok, {} queue-full, {} errors, {} cache-hits over {} jobs ({proto}, \
-             offered {rate:.0}/s, zipf {zipf}, seed {seed})",
-            outcome.ok, outcome.queue_full, outcome.errors, outcome.cache_hits, jobs
-        );
-        println!(
-            "open-loop: achieved {:.0}/s, p50 {}us, p99 {}us, queue-full rate {:.3}",
-            (outcome.ok + outcome.queue_full + outcome.errors) as f64 / wall_s,
-            outcome.latency_percentile_us(50.0),
-            outcome.latency_percentile_us(99.0),
-            outcome.queue_full_rate()
-        );
-    }
-    outcome.errors == 0
 }
 
 /// Sends a run while a sidecar thread fires `preempt` at its cache key
@@ -704,71 +473,4 @@ fn print_latency(h: &Histogram) {
         q(0.99),
         h.max().unwrap_or(0)
     );
-}
-
-/// Replays every distinct scenario of the batch against `other` and
-/// requires byte-identical reports — the determinism contract that makes
-/// a fleet transparent: any backend (or a direct server) answers the
-/// same bytes.
-fn check_parity(reports: &BTreeMap<String, String>, other: &str) -> bool {
-    if reports.is_empty() {
-        eprintln!("parity check: no reports to compare");
-        return false;
-    }
-    let mut matched = 0usize;
-    for (scenario, report) in reports {
-        match request_once(other, &run_line(scenario)) {
-            Ok(json) if json.get("ok").and_then(Json::as_bool) == Some(true) => {
-                match json.get("report").map(Json::to_string_compact) {
-                    Some(r) if r == *report => matched += 1,
-                    _ => eprintln!("parity check: {scenario}: reports differ"),
-                }
-            }
-            Ok(json) => {
-                eprintln!(
-                    "parity check: {scenario} failed on {other}: {}",
-                    json.to_string_compact()
-                );
-            }
-            Err(e) => eprintln!("parity check: {scenario} transport error on {other}: {e}"),
-        }
-    }
-    let all = matched == reports.len();
-    println!(
-        "parity check: {matched}/{} scenarios byte-identical vs {other}{}",
-        reports.len(),
-        if all { "" } else { " [FAILED]" }
-    );
-    all
-}
-
-/// Replay the same request twice; the second response must be a cache
-/// hit whose report renders byte-identically to the first.
-fn check_cache_identity(addr: &str) -> bool {
-    let req = run_line("table1_config");
-    let (first, second) = match (request_once(addr, &req), request_once(addr, &req)) {
-        (Ok(a), Ok(b)) => (a, b),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("cache check: request failed: {e}");
-            return false;
-        }
-    };
-    if first.get("ok").and_then(Json::as_bool) != Some(true)
-        || second.get("ok").and_then(Json::as_bool) != Some(true)
-    {
-        eprintln!("cache check: run did not succeed");
-        return false;
-    }
-    if second.get("cache_hit").and_then(Json::as_bool) != Some(true) {
-        eprintln!("cache check: second response was not a cache hit");
-        return false;
-    }
-    let a = first.get("report").map(Json::to_string_compact);
-    let b = second.get("report").map(Json::to_string_compact);
-    if a.is_none() || a != b {
-        eprintln!("cache check: cached report is not byte-identical");
-        return false;
-    }
-    println!("cache check: hit with byte-identical report");
-    true
 }

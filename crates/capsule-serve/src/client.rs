@@ -5,9 +5,10 @@
 //! backends with.
 //!
 //! Everything that talks *to* a capsule-serve endpoint — `capsule-client`,
-//! `capsule-loadgen`, the `capsule-fleet` coordinator and the e2e tests —
-//! goes through [`Connection`], so timeout handling and error
-//! classification live in exactly one place.
+//! the closed-loop `capsule-loadgen`, the `capsule-fleet` coordinator,
+//! the e2e tests and the open-loop replayer of the benchmark under
+//! `capsbench/` — goes through [`Connection`], so timeout handling and
+//! error classification live in exactly one place.
 //!
 //! The v2 half of the API is the `submit`/`collect` pair: `submit`
 //! writes a request frame and returns its id without waiting, `collect`

@@ -346,3 +346,78 @@ fn frame_level_faults_count_as_bad_requests() {
 
     server.shutdown();
 }
+
+/// Smoke-scale entries that each finish in well under a second in a
+/// debug build, so a replay measures the serving path, not the
+/// simulator.
+const MIX: [&str; 4] =
+    ["table1_config", "toolchain_overhead", "fig6_division_tree", "table3_divisions"];
+
+/// Replays `lines` against a fresh server whose queue holds every job,
+/// from two keep-alive connections over `proto` (connection `c` owns
+/// jobs `c`, `c + 2`, ...). Each connection submits its whole share
+/// before collecting: v2 pipelines it, v1 answers in submission order.
+/// Every job must succeed — no `queue-full`, no error. Returns each
+/// job's compact report, by job index.
+fn replay(lines: &[String], proto: Proto, flight: usize) -> Vec<String> {
+    let opts = ServerOptions { queue: lines.len().max(16), flight, ..ServerOptions::default() };
+    let server = Server::start("127.0.0.1:0", opts).expect("bind ephemeral port");
+    let addr = server.local_addr().to_string();
+    let mut reports = vec![String::new(); lines.len()];
+    std::thread::scope(|scope| {
+        let shares: Vec<_> = (0..2)
+            .map(|c| {
+                let addr = &addr;
+                scope.spawn(move || {
+                    let mut conn = Connection::connect_with(addr, proto).expect("connect");
+                    let ids: Vec<(u64, usize)> = (c..lines.len())
+                        .step_by(2)
+                        .map(|k| (conn.submit(&lines[k]).expect("submit"), k))
+                        .collect();
+                    let mut done = Vec::with_capacity(ids.len());
+                    for _ in 0..ids.len() {
+                        let (id, reply) = conn.collect().expect("collect");
+                        let k = ids.iter().find(|(i, _)| *i == id).expect("a submitted id").1;
+                        assert!(
+                            ok(&reply),
+                            "{proto} job {k} failed: {}",
+                            reply.to_string_compact()
+                        );
+                        done.push((k, reply.get("report").expect("report").to_string_compact()));
+                    }
+                    done
+                })
+            })
+            .collect();
+        for share in shares {
+            for (k, report) in share.join().expect("replay thread") {
+                reports[k] = report;
+            }
+        }
+    });
+    server.shutdown();
+    reports
+}
+
+/// A seeded Poisson/Zipf schedule gives every job index the same report
+/// bytes over either protocol, with the flight recorder on or off, and
+/// again on a rerun.
+#[test]
+fn a_seeded_schedule_answers_the_same_bytes_on_either_protocol_and_recorder_setting() {
+    let plan = capsule_serve::load::schedule(7, 12, 30.0, 0.8, MIX.len());
+    let lines: Vec<String> = plan
+        .iter()
+        .map(|j| {
+            format!(r#"{{"op":"run","scenario":"{}","scale":"smoke"}}"#, MIX[j.scenario_index])
+        })
+        .collect();
+    let on = ServerOptions::default().flight;
+    let reference = replay(&lines, Proto::V1, on);
+    let mut distinct = reference.clone();
+    distinct.sort();
+    distinct.dedup();
+    assert!(distinct.len() > 1, "the schedule should name more than one scenario");
+    for (proto, flight) in [(Proto::V2, on), (Proto::V1, 0), (Proto::V2, 0), (Proto::V2, on)] {
+        assert_eq!(replay(&lines, proto, flight), reference, "{proto} with flight {flight}");
+    }
+}

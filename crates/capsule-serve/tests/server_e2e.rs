@@ -912,3 +912,169 @@ fn dump_returns_a_versioned_post_mortem_artifact() {
 
     server.shutdown();
 }
+
+/// Flight events one executed job records: `enqueue`, `dequeue` and
+/// `complete`. A cache hit records one, `cache-hit`.
+const FLIGHT_EVENTS_PER_JOB: i64 = 3;
+
+fn flight_recorded(server: &Server) -> i64 {
+    let stats = request(server, r#"{"op":"stats"}"#);
+    stats.get("flight_recorded").and_then(Json::as_i64).expect("flight_recorded")
+}
+
+/// The recorder's cost is fixed per job, not per cycle or per byte: a
+/// known number of events each run, none at all with `flight: 0`, and a
+/// ring that never retains more than its capacity.
+#[test]
+fn the_flight_recorder_records_a_fixed_number_of_events_per_job() {
+    const CAPACITY: usize = 4;
+    let with_flight = |flight| ServerOptions {
+        workers: 1,
+        queue: 4,
+        cache: 8,
+        flight,
+        ..ServerOptions::default()
+    };
+    let server = Server::start("127.0.0.1:0", with_flight(CAPACITY)).expect("bind ephemeral port");
+    let off = Server::start("127.0.0.1:0", with_flight(0)).expect("bind ephemeral port");
+    let scenarios =
+        ["table1_config", "toolchain_overhead", "fig6_division_tree", "table3_divisions"];
+
+    let mut recorded = flight_recorded(&server);
+    assert_eq!(recorded, 0, "a fresh server has recorded nothing");
+    for scenario in scenarios {
+        let line = format!(r#"{{"op":"run","scenario":"{scenario}","scale":"smoke"}}"#);
+        for s in [&server, &off] {
+            let reply = request(s, &line);
+            assert!(ok(&reply), "{scenario} failed: {}", reply.to_string_compact());
+            assert_eq!(reply.get("cache_hit").and_then(Json::as_bool), Some(false));
+        }
+        let now = flight_recorded(&server);
+        assert_eq!(now - recorded, FLIGHT_EVENTS_PER_JOB, "{scenario}");
+        recorded = now;
+        assert_eq!(flight_recorded(&off), 0, "a disabled recorder records nothing");
+    }
+    let hit = request(&server, SMOKE_RUN);
+    assert_eq!(hit.get("cache_hit").and_then(Json::as_bool), Some(true));
+    assert_eq!(flight_recorded(&server) - recorded, 1, "a cache hit records one event");
+
+    // The ring holds the newest `CAPACITY` of them; the rest are counted
+    // as overwritten.
+    let reply = request(&server, r#"{"op":"dump"}"#);
+    let flight = reply.get("dump").and_then(|d| d.get("flight")).expect("flight ring");
+    let events = flight.get("events").and_then(Json::as_array).expect("events");
+    let total = recorded as u64 + 1;
+    assert_eq!(events.len(), CAPACITY);
+    assert_eq!(flight.get("recorded").and_then(Json::as_u64), Some(total));
+    assert_eq!(flight.get("overwritten").and_then(Json::as_u64), Some(total - CAPACITY as u64));
+    let reply = request(&off, r#"{"op":"dump"}"#);
+    let flight = reply.get("dump").and_then(|d| d.get("flight")).expect("flight ring");
+    assert_eq!(flight.get("events").and_then(Json::as_array).map(<[Json]>::len), Some(0));
+
+    server.shutdown();
+    off.shutdown();
+}
+
+/// Parks `line` on a checkpointing single-worker server and resumes it
+/// through `resume_from`. The job is preempted while it waits behind a
+/// long one, so the park does not race a checkpoint boundary.
+fn run_parked_then_resumed(server: &Server, line: &str) -> Json {
+    let accepted = counter(server, "jobs_accepted");
+    let mut long = request_deferred(server, LONG_RUN);
+    wait_for("long job to occupy the worker", || jobs_in_flight(server) == 1);
+    let mut queued = request_deferred(server, line);
+    wait_for("job to be queued", || counter(server, "jobs_accepted") >= accepted + 2);
+    let key = run_cache_key(line);
+    let preempt = request(server, &format!(r#"{{"op":"preempt","cache_key":"{key}"}}"#));
+    assert!(ok(&preempt), "preempt failed: {}", preempt.to_string_compact());
+    assert!(ok(&request(server, r#"{"op":"cancel"}"#)));
+    assert_eq!(error_code(&read_reply(&mut long)), Some("cancelled"));
+    assert_eq!(error_code(&read_reply(&mut queued)), Some("preempted"));
+
+    let Ok(capsule_serve::Request::Run(run)) = capsule_serve::Request::parse_line(line) else {
+        panic!("not a run line: {line}")
+    };
+    let mut resume = Json::parse(&run.canonical()).expect("canonical form parses");
+    resume.push("resume_from", key.as_str());
+    request(server, &resume.to_string_compact())
+}
+
+/// Seeded `fuzz_gen` jobs with config overrides answer, through the
+/// server, exactly the bytes an in-process run of the same batch with
+/// the same overrides gives. A resubmission is a cache hit with those
+/// bytes, and a job parked and resumed through `resume_from` ends on
+/// them too.
+#[test]
+fn fuzz_gen_jobs_answer_the_in_process_bytes_through_the_server() {
+    use capsule_bench::catalog::{self, Scale};
+    use capsule_core::config::DivisionMode;
+    use capsule_core::rng::{Rng, Xoshiro256StarStar};
+    use capsule_serve::ConfigOverrides;
+
+    let entry = catalog::find("fuzz_gen").expect("fuzz_gen catalog entry");
+    let runner = capsule_bench::BatchRunner::with_workers(2);
+    let server = start_with_checkpoints(1, 4, 8, 50_000);
+    // Four jobs with distinct configs: a seed whose draws repeat an
+    // earlier job's (seed 3 repeats seed 2) would only reach the cache.
+    let mut lines: Vec<String> = Vec::new();
+    for i in 0u64.. {
+        if lines.len() == 4 {
+            break;
+        }
+        let mut rng = Xoshiro256StarStar::seed_from_u64(0xf0_22ed ^ i);
+        // At least 4 contexts, so every static-variant program (up to 4
+        // loader threads) still boots.
+        let contexts = [4usize, 6, 8][rng.u64_below(3) as usize];
+        let (mode_name, mode) = [
+            ("greedy_throttled", DivisionMode::GreedyThrottled),
+            ("greedy", DivisionMode::Greedy),
+            ("never", DivisionMode::Never),
+        ][rng.u64_below(3) as usize];
+        let death_window = [16u64, 64, 128][rng.u64_below(3) as usize];
+        let overrides = ConfigOverrides {
+            contexts: Some(contexts),
+            death_window: Some(death_window),
+            swap_counter_threshold: None,
+            division_mode: Some(mode),
+        };
+        let line = format!(
+            r#"{{"op":"run","scenario":"fuzz_gen","scale":"smoke","config":{{"contexts":{contexts},"death_window":{death_window},"division_mode":"{mode_name}"}}}}"#
+        );
+        if lines.contains(&line) {
+            continue;
+        }
+        lines.push(line.clone());
+        let tag = format!("fuzz job {i} (contexts {contexts}, {mode_name}, dw {death_window})");
+
+        let mut scenarios = entry.scenarios(Scale::Smoke);
+        for sc in &mut scenarios {
+            overrides.apply(&mut sc.config);
+        }
+        let local = runner.run(entry.title, scenarios).to_json().to_string_compact();
+
+        let reply = if lines.len() == 2 {
+            run_parked_then_resumed(&server, &line)
+        } else {
+            request(&server, &line)
+        };
+        assert!(ok(&reply), "{tag}: {}", reply.to_string_compact());
+        assert_eq!(reply.get("cache_hit").and_then(Json::as_bool), Some(false), "{tag}");
+        assert_eq!(
+            reply.get("report").map(Json::to_string_compact).as_deref(),
+            Some(local.as_str()),
+            "{tag}: the server's report differs from the in-process run"
+        );
+        let again = request(&server, &line);
+        assert!(ok(&again), "{tag}: resubmission failed: {}", again.to_string_compact());
+        assert_eq!(again.get("cache_hit").and_then(Json::as_bool), Some(true), "{tag}");
+        assert_eq!(
+            again.get("report").map(Json::to_string_compact).as_deref(),
+            Some(local.as_str()),
+            "{tag}: the cached report differs from the in-process run"
+        );
+    }
+    assert_eq!(counter(&server, "jobs_preempted"), 1);
+    assert_eq!(counter(&server, "jobs_resumed"), 1);
+
+    server.shutdown();
+}

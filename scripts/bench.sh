@@ -1,18 +1,11 @@
 #!/usr/bin/env sh
-# Tracked benchmarks: builds the workspace and runs one of the two bench
-# binaries.
-#
-# Default (no subcommand): capsule-bench's bench_sim mode, recording host
-# wall-clock and simulated-cycles-per-host-second per catalog entry in
-# BENCH_sim.json (schema capsule-bench-sim/1).
-#
-# `serve` subcommand: capsule-serve's bench_serve mode, recording
-# throughput, latency percentiles, queue-full rate and per-job protocol
-# overhead for v1 and v2 legs at fixed offered loads in BENCH_serve.json
-# (schema capsule-bench-serve/1).
+# Tracked simulator benchmark: builds the workspace and runs capsule-bench's
+# bench_sim, recording host wall-clock and simulated-cycles-per-host-second
+# per catalog entry in BENCH_sim.json (schema capsule-bench-sim/1).
 #
 # See docs/PERF.md for how to read the numbers and how to compare
-# against a saved baseline.
+# against a saved baseline. The serving path is measured by the
+# benchmark under capsbench/ (capsbench/README.md).
 #
 # Usage:
 #   scripts/bench.sh                         # quick scale -> BENCH_sim.json
@@ -20,18 +13,10 @@
 #   scripts/bench.sh --baseline old.json     # adds per-entry speedups
 #   scripts/bench.sh --compare old.json      # throughput gate (exit 1 on
 #                                            # regression beyond --noise)
-#   scripts/bench.sh serve                   # server legs -> BENCH_serve.json
-#   scripts/bench.sh serve --compare old.json
-# Remaining arguments are passed through to the selected binary.
+# Arguments are passed through to bench_sim.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-bin=bench_sim
-if [ "${1:-}" = "serve" ]; then
-    bin=bench_serve
-    shift
-fi
-
 cargo build --release --offline --workspace
-exec "target/release/$bin" "$@"
+exec target/release/bench_sim "$@"
