@@ -319,6 +319,24 @@ impl Fnv64 {
         self.state = self.state.wrapping_mul(Self::PRIME);
     }
 
+    /// Feeds `k` zero words: the same digest as `k` calls of
+    /// [`Fnv64::write_word`]`(0)`, in `O(log k)` steps. A zero word's
+    /// xor is a no-op, so `k` of them multiply the state by the FNV
+    /// prime to the `k` (wrapping), raised by squaring.
+    pub fn write_zero_words(&mut self, k: u64) {
+        let mut factor = 1u64;
+        let mut base = Self::PRIME;
+        let mut k = k;
+        while k > 0 {
+            if k & 1 == 1 {
+                factor = factor.wrapping_mul(base);
+            }
+            base = base.wrapping_mul(base);
+            k >>= 1;
+        }
+        self.state = self.state.wrapping_mul(factor);
+    }
+
     /// The digest so far.
     pub fn finish(&self) -> u64 {
         self.state
@@ -411,5 +429,19 @@ mod tests {
         h.write(b"foo");
         h.write(b"bar");
         assert_eq!(h.finish(), fnv1a64(b"foobar"));
+    }
+
+    #[test]
+    fn zero_words_match_word_by_word_zeros() {
+        for k in (0..70).chain([1000, 4096, 123_457]) {
+            let mut stepped = Fnv64::new();
+            stepped.write(b"head");
+            let mut jumped = stepped;
+            for _ in 0..k {
+                stepped.write_word(0);
+            }
+            jumped.write_zero_words(k);
+            assert_eq!(jumped.finish(), stepped.finish(), "k = {k}");
+        }
     }
 }

@@ -68,10 +68,17 @@ pub enum ProgramError {
     },
     /// The data image does not fit under `mem_size`.
     DataTooLarge {
-        /// Required bytes (base + data length).
+        /// Required bytes (base + laid-out data length).
         required: usize,
         /// Configured memory size.
         mem_size: usize,
+    },
+    /// More data bytes are stored than the image lays out.
+    DataOverrun {
+        /// Stored bytes ([`Program::data`]'s length).
+        stored: usize,
+        /// Laid-out length ([`Program::data_len`]).
+        data_len: usize,
     },
 }
 
@@ -89,6 +96,9 @@ impl fmt::Display for ProgramError {
             ProgramError::DataTooLarge { required, mem_size } => {
                 write!(f, "data image needs {required} bytes but memory is {mem_size}")
             }
+            ProgramError::DataOverrun { stored, data_len } => {
+                write!(f, "data image stores {stored} bytes but lays out only {data_len}")
+            }
         }
     }
 }
@@ -100,9 +110,13 @@ impl std::error::Error for ProgramError {}
 pub struct Program {
     /// Instruction stream.
     pub text: Vec<Instr>,
-    /// Initialized data, loaded at [`DATA_BASE`].
+    /// Initialized data, loaded at [`DATA_BASE`]: the laid-out image up
+    /// to its last written byte.
     pub data: Vec<u8>,
-    /// Total data-memory size in bytes (≥ `DATA_BASE + data.len()`).
+    /// Laid-out length of the data image: `data`, then zero bytes up to
+    /// this length (reserved space is a length, not stored bytes).
+    pub data_len: usize,
+    /// Total data-memory size in bytes (≥ `DATA_BASE + data_len`).
     pub mem_size: usize,
     /// Loader-created threads (at least one).
     pub threads: Vec<ThreadSpec>,
@@ -114,8 +128,15 @@ impl Program {
     /// Builds a program, sizing memory to the data image plus `heap_bytes`
     /// of headroom.
     pub fn new(text: Vec<Instr>, data: DataImage, heap_bytes: usize) -> Self {
-        let mem_size = DATA_BASE as usize + data.bytes.len() + heap_bytes;
-        Program { text, data: data.bytes, mem_size, threads: Vec::new(), symbols: data.symbols }
+        let mem_size = DATA_BASE as usize + data.len + heap_bytes;
+        Program {
+            text,
+            data: data.bytes,
+            data_len: data.len,
+            mem_size,
+            threads: Vec::new(),
+            symbols: data.symbols,
+        }
     }
 
     /// Adds a loader thread (builder style).
@@ -159,7 +180,13 @@ impl Program {
                 return Err(ProgramError::EntryOutOfRange { thread, pc: t.pc });
             }
         }
-        let required = DATA_BASE as usize + self.data.len();
+        if self.data.len() > self.data_len {
+            return Err(ProgramError::DataOverrun {
+                stored: self.data.len(),
+                data_len: self.data_len,
+            });
+        }
+        let required = DATA_BASE as usize + self.data_len;
         if required > self.mem_size {
             return Err(ProgramError::DataTooLarge { required, mem_size: self.mem_size });
         }
@@ -170,8 +197,11 @@ impl Program {
 /// Finished data image (bytes + symbol table) from a [`DataBuilder`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DataImage {
-    /// Raw bytes, loaded at [`DATA_BASE`].
+    /// Stored bytes, loaded at [`DATA_BASE`]: the image up to its last
+    /// written byte.
     pub bytes: Vec<u8>,
+    /// Laid-out length: `bytes`, then zero bytes up to this length.
+    pub len: usize,
     /// Symbol name → absolute address.
     pub symbols: BTreeMap<String, u64>,
 }
@@ -180,9 +210,16 @@ pub struct DataImage {
 ///
 /// All `word`-level helpers 8-align automatically; addresses returned are
 /// absolute (already offset by [`DATA_BASE`]).
+///
+/// Reserved zeros ([`DataBuilder::zeros`], [`DataBuilder::align`],
+/// [`DataBuilder::stack`]) are only counted: the next written value
+/// stores them, and [`DataBuilder::build`] leaves trailing ones out of
+/// the stored bytes. Addresses and lengths are those of the full layout.
 #[derive(Debug, Clone, Default)]
 pub struct DataBuilder {
     bytes: Vec<u8>,
+    /// Zero bytes laid out after `bytes` but not stored yet.
+    pending_zeros: usize,
     symbols: BTreeMap<String, u64>,
 }
 
@@ -194,15 +231,24 @@ impl DataBuilder {
 
     /// Current absolute address (next byte to be laid out).
     pub fn here(&self) -> u64 {
-        DATA_BASE + self.bytes.len() as u64
+        DATA_BASE + self.len() as u64
     }
 
     /// Pads to an `n`-byte boundary.
     pub fn align(&mut self, n: usize) {
         assert!(n.is_power_of_two(), "alignment must be a power of two");
-        while !(self.here() as usize).is_multiple_of(n) {
-            self.bytes.push(0);
-        }
+        let here = self.here() as usize;
+        self.pending_zeros += here.next_multiple_of(n) - here;
+    }
+
+    /// Stores the pending zeros and makes room for `n` more bytes;
+    /// returns the address those bytes start at.
+    fn open(&mut self, n: usize) -> u64 {
+        let addr = self.here();
+        self.bytes.reserve(self.pending_zeros + n);
+        self.bytes.resize(self.bytes.len() + self.pending_zeros, 0);
+        self.pending_zeros = 0;
+        addr
     }
 
     /// Names the current address.
@@ -215,7 +261,7 @@ impl DataBuilder {
     /// Appends one 64-bit word; returns its address.
     pub fn word(&mut self, v: i64) -> u64 {
         self.align(8);
-        let addr = self.here();
+        let addr = self.open(8);
         self.bytes.extend_from_slice(&v.to_le_bytes());
         addr
     }
@@ -223,7 +269,7 @@ impl DataBuilder {
     /// Appends a slice of 64-bit words; returns the start address.
     pub fn words(&mut self, vs: &[i64]) -> u64 {
         self.align(8);
-        let addr = self.here();
+        let addr = self.open(8 * vs.len());
         for v in vs {
             self.bytes.extend_from_slice(&v.to_le_bytes());
         }
@@ -233,7 +279,7 @@ impl DataBuilder {
     /// Appends a slice of f64 values; returns the start address.
     pub fn f64s(&mut self, vs: &[f64]) -> u64 {
         self.align(8);
-        let addr = self.here();
+        let addr = self.open(8 * vs.len());
         for v in vs {
             self.bytes.extend_from_slice(&v.to_bits().to_le_bytes());
         }
@@ -242,7 +288,7 @@ impl DataBuilder {
 
     /// Appends raw bytes; returns the start address.
     pub fn raw(&mut self, bs: &[u8]) -> u64 {
-        let addr = self.here();
+        let addr = self.open(bs.len());
         self.bytes.extend_from_slice(bs);
         addr
     }
@@ -250,7 +296,7 @@ impl DataBuilder {
     /// Reserves `n` zero bytes; returns the start address.
     pub fn zeros(&mut self, n: usize) -> u64 {
         let addr = self.here();
-        self.bytes.resize(self.bytes.len() + n, 0);
+        self.pending_zeros += n;
         addr
     }
 
@@ -270,17 +316,17 @@ impl DataBuilder {
 
     /// Bytes laid out so far.
     pub fn len(&self) -> usize {
-        self.bytes.len()
+        self.bytes.len() + self.pending_zeros
     }
 
     /// True when nothing has been laid out.
     pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
+        self.len() == 0
     }
 
-    /// Finishes the image.
+    /// Finishes the image; trailing reserved zeros stay a length.
     pub fn build(self) -> DataImage {
-        DataImage { bytes: self.bytes, symbols: self.symbols }
+        DataImage { len: self.len(), bytes: self.bytes, symbols: self.symbols }
     }
 }
 
@@ -373,6 +419,10 @@ mod tests {
         let mut p = tiny_program();
         p.mem_size = 16;
         assert!(matches!(p.validate(), Err(ProgramError::DataTooLarge { .. })));
+
+        let mut p = tiny_program();
+        p.data.push(1);
+        assert!(matches!(p.validate(), Err(ProgramError::DataOverrun { .. })));
     }
 
     #[test]
@@ -391,6 +441,7 @@ mod tests {
             ProgramError::TargetOutOfRange { at: 1, target: 2 },
             ProgramError::EntryOutOfRange { thread: 0, pc: 3 },
             ProgramError::DataTooLarge { required: 10, mem_size: 5 },
+            ProgramError::DataOverrun { stored: 9, data_len: 8 },
         ];
         for e in errs {
             assert!(!e.to_string().is_empty());

@@ -93,7 +93,10 @@ impl Geometry {
 pub struct Cache {
     params: CacheParams,
     geometry: Geometry,
-    sets: Vec<Vec<Line>>,
+    /// Number of sets.
+    num_sets: usize,
+    /// Every line, set-major: set `s` is `lines[s * assoc..(s + 1) * assoc]`.
+    lines: Vec<Line>,
     stats: CacheStats,
     use_clock: u64,
     // Port accounting for the current cycle.
@@ -109,7 +112,8 @@ impl Default for Cache {
         Cache {
             params: CacheParams { size_bytes: 0, line_bytes: 0, assoc: 0, latency: 0, ports: 0 },
             geometry: Geometry::General { line_bytes: 0, num_sets: 0 },
-            sets: Vec::new(),
+            num_sets: 0,
+            lines: Vec::new(),
             stats: CacheStats::default(),
             use_clock: 0,
             port_cycle: 0,
@@ -125,12 +129,13 @@ impl Cache {
     ///
     /// Panics on degenerate geometry (see [`CacheParams::num_sets`]).
     pub fn new(params: CacheParams) -> Self {
-        let sets = vec![vec![Line::default(); params.assoc]; params.num_sets()];
-        let geometry = Geometry::new(params.line_bytes as u64, sets.len() as u64);
+        let num_sets = params.num_sets();
+        let geometry = Geometry::new(params.line_bytes as u64, num_sets as u64);
         Cache {
             params,
             geometry,
-            sets,
+            num_sets,
+            lines: vec![Line::default(); num_sets * params.assoc],
             stats: CacheStats::default(),
             use_clock: 0,
             port_cycle: 0,
@@ -148,8 +153,11 @@ impl Cache {
         self.stats
     }
 
-    fn set_index(&self, addr: u64) -> (usize, u64) {
-        self.geometry.decompose(addr)
+    /// The ways of the set `addr` maps to, and its tag.
+    fn set_of(&self, addr: u64) -> (std::ops::Range<usize>, u64) {
+        let (set, tag) = self.geometry.decompose(addr);
+        let assoc = self.params.assoc;
+        (set * assoc..(set + 1) * assoc, tag)
     }
 
     /// Looks up `addr`, allocating the line on a miss. Returns `true` on a
@@ -157,8 +165,8 @@ impl Cache {
     pub fn access(&mut self, addr: u64) -> bool {
         self.use_clock += 1;
         self.stats.accesses += 1;
-        let (set, tag) = self.set_index(addr);
-        let lines = &mut self.sets[set];
+        let (ways, tag) = self.set_of(addr);
+        let lines = &mut self.lines[ways];
         if let Some(l) = lines.iter_mut().find(|l| l.valid && l.tag == tag) {
             l.last_use = self.use_clock;
             self.stats.hits += 1;
@@ -180,8 +188,8 @@ impl Cache {
 
     /// Non-allocating probe: would `addr` hit right now?
     pub fn probe(&self, addr: u64) -> bool {
-        let (set, tag) = self.set_index(addr);
-        self.sets[set].iter().any(|l| l.valid && l.tag == tag)
+        let (ways, tag) = self.set_of(addr);
+        self.lines[ways].iter().any(|l| l.valid && l.tag == tag)
     }
 
     /// Extra cycles an access starting at `now` waits for a free port.
@@ -204,21 +212,17 @@ impl Cache {
 
     /// Number of currently valid lines (for invariants/tests).
     pub fn valid_lines(&self) -> usize {
-        self.sets.iter().flatten().filter(|l| l.valid).count()
+        self.lines.iter().filter(|l| l.valid).count()
     }
 
     /// Total line capacity.
     pub fn capacity_lines(&self) -> usize {
-        self.sets.len() * self.params.assoc
+        self.lines.len()
     }
 
     /// Drops all contents and statistics.
     pub fn reset(&mut self) {
-        for set in &mut self.sets {
-            for l in set {
-                *l = Line::default();
-            }
-        }
+        self.lines.fill(Line::default());
         self.stats = CacheStats::default();
         self.use_clock = 0;
         self.port_cycle = 0;
@@ -229,14 +233,12 @@ impl Cache {
     /// Geometry is not written; it is rebuilt from the parameters the
     /// receiving cache was constructed with.
     pub fn encode(&self, w: &mut Writer) {
-        w.usize(self.sets.len());
+        w.usize(self.num_sets);
         w.usize(self.params.assoc);
-        for set in &self.sets {
-            for l in set {
-                w.bool(l.valid);
-                w.u64(l.tag);
-                w.u64(l.last_use);
-            }
+        for l in &self.lines {
+            w.bool(l.valid);
+            w.u64(l.tag);
+            w.u64(l.last_use);
         }
         w.u64(self.stats.accesses);
         w.u64(self.stats.hits);
@@ -256,15 +258,13 @@ impl Cache {
     pub fn decode_into(&mut self, r: &mut Reader<'_>) -> Result<(), CodecError> {
         let sets = r.usize()?;
         let assoc = r.usize()?;
-        if sets != self.sets.len() || assoc != self.params.assoc {
+        if sets != self.num_sets || assoc != self.params.assoc {
             return Err(CodecError::Invalid("cache geometry mismatch"));
         }
-        for set in &mut self.sets {
-            for l in set {
-                l.valid = r.bool()?;
-                l.tag = r.u64()?;
-                l.last_use = r.u64()?;
-            }
+        for l in &mut self.lines {
+            l.valid = r.bool()?;
+            l.tag = r.u64()?;
+            l.last_use = r.u64()?;
         }
         self.stats.accesses = r.u64()?;
         self.stats.hits = r.u64()?;
@@ -383,7 +383,7 @@ mod tests {
             ports: 1,
         });
         assert!(matches!(c.geometry, Geometry::General { .. }));
-        assert_eq!(c.sets.len(), 3);
+        assert_eq!(c.num_sets, 3);
         // Lines 0 and 3 share set 0 (line % 3); line 1 does not.
         assert!(!c.access(0));
         assert!(!c.access(3 * 64));
@@ -405,7 +405,7 @@ mod tests {
             latency: 1,
             ports: 1,
         });
-        let sets = c.sets.len() as u64; // 4
+        let sets = c.num_sets as u64; // 4
         let stride = sets * 64;
         let (a, b, d, e, f) = (0, stride, 2 * stride, 3 * stride, 4 * stride);
         for addr in [a, b, d, e] {

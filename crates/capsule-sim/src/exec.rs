@@ -131,13 +131,20 @@ impl Memory {
 
     /// [`Memory::new`] reusing a previously allocated buffer (warmed
     /// machine reset): the contents are indistinguishable from a fresh
-    /// build — the buffer is zeroed to `size` before `data` is loaded —
-    /// only the allocation is reused.
+    /// build, only the allocation is reused. Each byte is written once:
+    /// zeros below `base`, `data`, then zeros up to `size`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `data` loaded at `base` runs past `size`.
     pub fn recycled(mut bytes: Vec<u8>, size: usize, base: u64, data: &[u8]) -> Self {
-        bytes.clear();
-        bytes.resize(size, 0);
         let b = base as usize;
-        bytes[b..b + data.len()].copy_from_slice(data);
+        assert!(b + data.len() <= size, "data image runs past the memory size");
+        bytes.clear();
+        bytes.reserve(size);
+        bytes.resize(b, 0);
+        bytes.extend_from_slice(data);
+        bytes.resize(size, 0);
         Memory { bytes, base }
     }
 

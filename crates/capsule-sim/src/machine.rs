@@ -815,6 +815,7 @@ impl Machine {
         self.stats = SimStats::decode(r)?;
         self.sections = SectionTracker::decode(r)?;
         self.tree = DivisionTree::decode(r)?;
+        self.check_restored_threads()?;
         self.live_workers = r.u64()?;
         let nlat = r.usize()?;
         if nlat > self.cfg.swap_load_window {
@@ -854,6 +855,32 @@ impl Machine {
             1 => Some(Trace::decode(r)?),
             _ => return Err(CodecError::Invalid("bad trace tag")),
         };
+        Ok(())
+    }
+
+    /// Cross-section checks on restored threads, which the cycle loop
+    /// relies on: a slot holds a thread exactly when it is not Free, no
+    /// slow-load counter sits below the floor the loop clamps it to, and
+    /// every resident or stacked thread is a worker the division tree
+    /// knows.
+    fn check_restored_threads(&self) -> Result<(), CodecError> {
+        for slot in &self.slots {
+            match (slot.state, &slot.thread) {
+                (SlotState::Free, Some(_)) => {
+                    return Err(CodecError::Invalid("free context holds a thread"))
+                }
+                (_, Some(t)) if t.slow_counter < -self.cfg.swap_counter_threshold => {
+                    return Err(CodecError::Invalid("slow-load counter below its floor"))
+                }
+                (SlotState::Free, None) | (_, Some(_)) => {}
+                (_, None) => return Err(CodecError::Invalid("busy context holds no thread")),
+            }
+        }
+        let resident = self.slots.iter().filter_map(|s| s.thread.as_ref().map(|t| &t.arch));
+        let mut workers = resident.chain(self.stack.iter().map(|t| &t.arch)).map(|a| a.worker);
+        if workers.any(|w| w.index() >= self.tree.len()) {
+            return Err(CodecError::Invalid("thread of a worker never born"));
+        }
         Ok(())
     }
 
@@ -2327,7 +2354,9 @@ mod tests {
         // Five words and a three-byte tail: the identity hash reads the
         // image a word at a time and must still see every byte.
         let mut p = checkpoint_workload();
+        p.data.resize(p.data_len, 0);
         p.data.extend(1..=19u8);
+        p.data_len = p.data.len();
         assert_eq!(p.data.len() % 8, 3);
         let mut m = Machine::new(somt(), &p).unwrap();
         assert!(m.run_until(100_000, 20).unwrap().is_none());
@@ -2620,6 +2649,63 @@ mod tests {
         };
         assert!(parked_far > 20, "only {parked_far} pauses held an overflowed event");
         assert_eq!(outcome, straight);
+    }
+
+    /// Single-byte corruptions of a real blob, in the arena and in every
+    /// section from the slots on: each is rejected as a mismatch, or
+    /// restores into a machine that runs to a structured outcome under a
+    /// small cycle budget. None may panic. (Memory, cache and predictor
+    /// contents are plain data: any value there is a valid state.)
+    #[test]
+    fn mutated_snapshots_are_rejected_or_run_never_panic() {
+        let p = checkpoint_workload();
+        let mut m = Machine::new(somt(), &p).unwrap();
+        assert!(m.run_until(100_000, 40).unwrap().is_none());
+        let blob = m.snapshot();
+        let encoded_len = |encode: &dyn Fn(&mut Writer)| {
+            let mut w = Writer::new();
+            encode(&mut w);
+            w.into_bytes().len()
+        };
+        let arena_start = encoded_len(&|w| crate::snapshot::write_header(w, m.sig));
+        let arena_end = arena_start + encoded_len(&|w| m.arena.encode(w));
+        let slots_start = arena_end
+            + encoded_len(&|w| m.mem.encode(w))
+            + encoded_len(&|w| m.hier.encode(w))
+            + encoded_len(&|w| m.pred.encode(w));
+        let at: Vec<usize> = (arena_start..arena_end).chain(slots_start..blob.len()).collect();
+
+        let mut mutations: Vec<(usize, u8)> =
+            at.iter().flat_map(|&i| [0x01, 0x80, 0xff].map(|x| (i, blob[i] ^ x))).collect();
+        let mut rng = Xoshiro256StarStar::seed_from_u64(0x5eed_b10b);
+        for _ in 0..512 {
+            let i = at[rng.usize_below(at.len())];
+            mutations.push((i, blob[i] ^ (rng.usize_below(255) as u8 + 1)));
+        }
+
+        let mut warm = WarmMachine::new();
+        let mut panicked = Vec::new();
+        for &(i, byte) in &mutations {
+            let mut bad = blob.clone();
+            bad[i] = byte;
+            let m = warm.prepare(somt(), &p).unwrap();
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                match m.restore_snapshot(&bad) {
+                    Ok(()) => drop(m.run(2_000)),
+                    Err(e) => assert!(matches!(e, SimError::SnapshotMismatch { .. }), "{e:?}"),
+                }
+            }));
+            if run.is_err() {
+                panicked.push((i, byte));
+                warm = WarmMachine::new();
+            }
+        }
+        assert!(
+            panicked.is_empty(),
+            "{} of {} mutations panicked: {panicked:?}",
+            panicked.len(),
+            mutations.len()
+        );
     }
 
     #[test]

@@ -324,6 +324,11 @@ impl ContextStack {
         self.entries.pop()
     }
 
+    /// The parked thread images, bottom first.
+    pub fn iter(&self) -> impl Iterator<Item = &SavedThread> {
+        self.entries.iter()
+    }
+
     /// Serializes the parked thread images, bottom first.
     pub fn encode(&self, w: &mut Writer) {
         w.usize(self.capacity);

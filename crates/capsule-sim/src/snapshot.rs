@@ -77,7 +77,8 @@ pub(crate) fn check_header(r: &mut Reader<'_>, sig: u64) -> Result<(), SimError>
 /// FNV identity hash of a (configuration, program) pair. A snapshot
 /// taken on one machine restores only into a machine whose hash
 /// matches — same timing model, same text, same data image. It runs on
-/// every machine reset, so the text and data go in a word per step.
+/// every machine reset, so the text and stored data go in a word per
+/// step and the data image's zero tail in one.
 pub(crate) fn machine_sig(cfg: &MachineConfig, program: &Program) -> u64 {
     let mut h = Fnv64::new();
     hash_config(&mut h, cfg);
@@ -147,9 +148,11 @@ fn hash_program(h: &mut Fnv64, program: &Program) {
             Err(_) => h.write(format!("{instr:?}").as_bytes()),
         }
     }
-    // The data image goes in a little-endian word at a time; a short
-    // tail is zero-padded to a word (the length above tells it apart).
-    h.write_u64(program.data.len() as u64);
+    // The laid-out data image goes in a little-endian word at a time; a
+    // short tail is zero-padded to a word (the length above tells it
+    // apart). The stored bytes go word by word, the zero words after
+    // them in one step.
+    h.write_u64(program.data_len as u64);
     let words = program.data.chunks_exact(8);
     let tail = words.remainder();
     for w in words {
@@ -160,6 +163,7 @@ fn hash_program(h: &mut Fnv64, program: &Program) {
         last[..tail.len()].copy_from_slice(tail);
         h.write_word(u64::from_le_bytes(last));
     }
+    h.write_zero_words((program.data_len.div_ceil(8) - program.data.len().div_ceil(8)) as u64);
     h.write_u64(program.mem_size as u64);
     h.write_u64(program.threads.len() as u64);
     for t in &program.threads {

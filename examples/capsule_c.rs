@@ -61,11 +61,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    println!(
-        "compiled: {} instructions, {} bytes of data\n",
-        program.text.len(),
-        program.data.len()
-    );
+    println!("compiled: {} instructions, {} bytes of data\n", program.text.len(), program.data_len);
 
     for (name, cfg) in [
         ("superscalar (divisions denied)", MachineConfig::table1_superscalar()),

@@ -14,6 +14,11 @@ cargo build --release --offline --workspace
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
 
+echo "==> cargo test --release -q --offline -p capsule-sim"
+# The simulator's tests again under release arithmetic (wrapping, no
+# debug_assert): the snapshot mutation sweep must hold in both builds.
+cargo test --release -q --offline -p capsule-sim
+
 echo "==> cargo clippy --offline -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
